@@ -9,7 +9,7 @@ Golden values were recorded with repro 1.0.0.
 
 import pytest
 
-from repro.sim.config import SimulationConfig
+from repro.sim.config import DAY_S, HOUR_S, SimulationConfig
 from repro.sim.runner import run_simulation
 
 GOLDEN_CONFIG = dict(
@@ -105,6 +105,104 @@ GOLDEN_SUMMARIES = {
         "events_fired": 260.0,
     },
 }
+
+# The calibrated ``experiment`` preset at N=500 over 3 days.  A 3 h
+# target period (instead of the preset's 48 h) makes the run cross many
+# relocation epochs and rotation slots, so every event that re-prices
+# the draw rates (tick rotations, relocations, hand-off drains) feeds
+# these numbers.  Pinned exactly (==), through the serial loop and
+# through the batched engine.
+EXPERIMENT_GOLDEN_OVERRIDES = dict(
+    sim_time_s=3 * DAY_S,
+    seed=7,
+    erp=0.6,
+    target_period_s=3 * HOUR_S,
+)
+
+EXPERIMENT_GOLDEN_SUMMARIES = {
+    "greedy": {
+        "sim_time_s": 259200.0,
+        "traveling_distance_m": 7413.793882959591,
+        "traveling_energy_j": 41517.24574457372,
+        "delivered_energy_j": 133762.1003983431,
+        "objective_j": 92244.85465376938,
+        "avg_coverage_ratio": 1.0,
+        "missing_rate": 0.0,
+        "avg_nonfunctional_fraction": 0.0,
+        "avg_operational_sensors": 500.0000000000001,
+        "recharging_cost_m_per_sensor": 14.82758776591918,
+        "n_recharges": 128.0,
+        "n_sorties": 41.0,
+        "n_requests": 143.0,
+        "mean_request_latency_s": 7228.970066041986,
+        "events_fired": 732.0,
+    },
+    "insertion": {
+        "sim_time_s": 259200.0,
+        "traveling_distance_m": 7678.315269021022,
+        "traveling_energy_j": 42998.565506517734,
+        "delivered_energy_j": 133929.67970260468,
+        "objective_j": 90931.11419608694,
+        "avg_coverage_ratio": 1.0,
+        "missing_rate": 0.0,
+        "avg_nonfunctional_fraction": 0.0,
+        "avg_operational_sensors": 500.00000000000006,
+        "recharging_cost_m_per_sensor": 15.356630538042042,
+        "n_recharges": 128.0,
+        "n_sorties": 20.0,
+        "n_requests": 143.0,
+        "mean_request_latency_s": 8441.172765809111,
+        "events_fired": 732.0,
+    },
+    "partition": {
+        "sim_time_s": 259200.0,
+        "traveling_distance_m": 7039.328826479066,
+        "traveling_energy_j": 39420.24142828276,
+        "delivered_energy_j": 135644.92230685282,
+        "objective_j": 96224.68087857007,
+        "avg_coverage_ratio": 1.0,
+        "missing_rate": 0.0,
+        "avg_nonfunctional_fraction": 0.0,
+        "avg_operational_sensors": 499.9999999999998,
+        "recharging_cost_m_per_sensor": 14.078657652958139,
+        "n_recharges": 131.0,
+        "n_sorties": 44.0,
+        "n_requests": 141.0,
+        "mean_request_latency_s": 9987.957335199542,
+        "events_fired": 739.0,
+    },
+    "combined": {
+        "sim_time_s": 259200.0,
+        "traveling_distance_m": 7678.315269021022,
+        "traveling_energy_j": 42998.565506517734,
+        "delivered_energy_j": 133929.67970260468,
+        "objective_j": 90931.11419608694,
+        "avg_coverage_ratio": 1.0,
+        "missing_rate": 0.0,
+        "avg_nonfunctional_fraction": 0.0,
+        "avg_operational_sensors": 500.00000000000006,
+        "recharging_cost_m_per_sensor": 15.356630538042042,
+        "n_recharges": 128.0,
+        "n_sorties": 20.0,
+        "n_requests": 143.0,
+        "mean_request_latency_s": 8441.172765809111,
+        "events_fired": 732.0,
+    },
+}
+
+
+def _experiment_config(scheduler):
+    return SimulationConfig.experiment(
+        **EXPERIMENT_GOLDEN_OVERRIDES, scheduler=scheduler
+    )
+
+
+def _assert_matches(got, expected, label):
+    assert set(got) == set(expected)
+    mismatches = {
+        k: (got[k], expected[k]) for k in expected if got[k] != expected[k]
+    }
+    assert not mismatches, f"{label} drifted: {mismatches}"
 
 
 @pytest.fixture(scope="module")
@@ -251,4 +349,33 @@ class TestGoldenExecutionMatrix:
             }
             assert not mismatches, (
                 f"{scheduler} drifted under jobs={jobs}, warm={warm}: {mismatches}"
+            )
+
+
+class TestExperimentGolden:
+    """Exact pinned summaries for the ``experiment`` preset at N=500."""
+
+    @pytest.mark.parametrize("scheduler", sorted(EXPERIMENT_GOLDEN_SUMMARIES))
+    def test_serial_bit_identical(self, scheduler):
+        got = run_simulation(_experiment_config(scheduler)).as_dict()
+        _assert_matches(got, EXPERIMENT_GOLDEN_SUMMARIES[scheduler], scheduler)
+
+    def test_batched_bit_identical(self):
+        """The four configs share a shape signature, so ``run_batch``
+        advances them as one lockstep batch; every world must land on
+        its pinned summary."""
+        from repro.obs import Instruments
+        from repro.sim.runner import run_batch
+
+        schedulers = sorted(EXPERIMENT_GOLDEN_SUMMARIES)
+        obs = Instruments()
+        results = run_batch(
+            [_experiment_config(s) for s in schedulers], instruments=obs
+        )
+        assert obs.snapshot()["counters"]["batch.cells_batched"] == len(schedulers)
+        for scheduler, summary in zip(schedulers, results):
+            _assert_matches(
+                summary.as_dict(),
+                EXPERIMENT_GOLDEN_SUMMARIES[scheduler],
+                f"{scheduler} (batched)",
             )
