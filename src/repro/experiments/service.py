@@ -147,6 +147,7 @@ class SweepService:
             self.store = ResultStore.from_env(instruments=self.instruments)
         self.requests_served = 0
         self._stop = False
+        self._server: Optional[socket.socket] = None
         #: Progress of the request being served right now (/statusz).
         self._current: Optional[Dict[str, Any]] = None
 
@@ -185,17 +186,34 @@ class SweepService:
 
     # -- lifecycle ----------------------------------------------------
 
-    def serve_forever(self, max_requests: Optional[int] = None) -> int:
-        """Accept and serve connections until a ``shutdown`` request
-        arrives (or ``max_requests`` connections were handled); returns
-        the number of requests served."""
+    def bind(self) -> None:
+        """Bind and listen on the unix socket (no-op once bound).
+
+        :meth:`serve_forever` binds on its own; a caller that announces
+        the socket binds first, so clients can connect as soon as they
+        read the announcement.
+        """
+        if self._server is not None:
+            return
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             if os.path.exists(self.socket_path):  # stale socket from a dead server
                 os.unlink(self.socket_path)
             server.bind(self.socket_path)
             server.listen(8)
-            server.settimeout(0.5)
+        except BaseException:
+            server.close()
+            raise
+        server.settimeout(0.5)
+        self._server = server
+
+    def serve_forever(self, max_requests: Optional[int] = None) -> int:
+        """Accept and serve connections until a ``shutdown`` request
+        arrives (or ``max_requests`` connections were handled); returns
+        the number of requests served."""
+        try:
+            self.bind()
+            server = self._server
             while not self._stop and (
                 max_requests is None or self.requests_served < max_requests
             ):
@@ -213,7 +231,9 @@ class SweepService:
                 if self._slo_evaluator is not None:
                     self._slo_evaluator.evaluate(self.bus)
         finally:
-            server.close()
+            if self._server is not None:
+                self._server.close()
+                self._server = None
             try:
                 os.unlink(self.socket_path)
             except OSError:

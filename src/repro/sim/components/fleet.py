@@ -83,8 +83,7 @@ class FleetController:
         self._t_dispatch = obs.timer("fleet.dispatch")
         self._t_assign = obs.timer("scheduler.assign")
         # Which kernel path (numpy broadcasts vs reference loops) the
-        # scheduler's inner decisions took — mirrors the incremental /
-        # full recompute counters of the energy component.
+        # scheduler's inner decisions took.
         self._c_kernel_vec = obs.counter("scheduler.kernel.vectorized")
         self._c_kernel_ref = obs.counter("scheduler.kernel.reference")
         self._c_rounds = obs.counter("fleet.dispatch_rounds")

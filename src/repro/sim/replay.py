@@ -343,10 +343,9 @@ def restore_world(
     world.energy.breakdown_j = {
         k: float(v) for k, v in scalars["energy"]["breakdown_j"].items()
     }
-    # Re-price every sensor from the restored masks.  force_full is
-    # bit-identical to the incremental path by contract, so the restored
-    # rates match the original run's exactly.
-    world.energy.recompute(force_full=True)
+    # Re-price every sensor from the restored masks; the restored rates
+    # match the original run's exactly.
+    world.energy.recompute()
 
     # Rebuild the event queue in recorded firing order; (time, priority)
     # pairs are unique across the three periodics, so relative insertion

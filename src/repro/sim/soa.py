@@ -104,8 +104,6 @@ def engine_provenance() -> dict:
         "soa": soa_enabled(),
         "soa_debug": debug_soa(),
         "vectorize": vectorize_enabled(),
-        "incremental": os.environ.get("REPRO_INCREMENTAL", "1")
-        not in ("0", "false", "no"),
         "batch": batch_enabled(),
         "batch_debug": debug_batch(),
     }

@@ -89,7 +89,7 @@ class TestKnobs:
     def test_engine_provenance_keys(self):
         prov = engine_provenance()
         assert set(prov) == {
-            "soa", "soa_debug", "vectorize", "incremental", "batch", "batch_debug",
+            "soa", "soa_debug", "vectorize", "batch", "batch_debug",
         }
         assert all(isinstance(v, bool) for v in prov.values())
 

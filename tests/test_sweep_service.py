@@ -6,7 +6,9 @@ the streaming primitives (`iter_configs` / `submit_grid`) must
 reassemble grid order exactly.
 """
 
+import io
 import json
+import sys
 import threading
 
 import pytest
@@ -178,6 +180,32 @@ class TestServiceCLI:
         assert second["results"] == first["results"]
         server.join(timeout=10.0)  # --max-requests 2 ends the accept loop
         assert not server.is_alive()
+
+    def test_serve_binds_before_announcing(self, tmp_path, monkeypatch):
+        """A client that connects the moment it reads the listen line
+        must find the socket already bound."""
+        socket_path = tmp_path / "early.sock"
+        seen = []
+
+        class Probe(io.StringIO):
+            def write(self, text):
+                if "listening" in text:
+                    seen.append(socket_path.exists())
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Probe())
+        argv = [
+            "serve", "--socket", str(socket_path), "--jobs", "1",
+            "--max-requests", "0",
+        ]
+        assert main(argv) == 0
+        assert seen == [True]
+        assert not socket_path.exists()  # removed again on exit
+
+    def test_serve_unbindable_socket_exits_2(self, tmp_path, capsys):
+        socket_path = tmp_path / "missing-dir" / "s.sock"
+        assert main(["serve", "--socket", str(socket_path)]) == 2
+        assert "cannot listen" in capsys.readouterr().err
 
     def test_submit_without_server_exits_2(self, tmp_path, capsys):
         code = main(["submit", "--socket", str(tmp_path / "nope.sock"), "--quiet"])
