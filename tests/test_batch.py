@@ -149,6 +149,15 @@ class TestShapeSignature:
         monkeypatch.setenv("REPRO_DEBUG_SOA", "1")
         assert not batchable_config(small())
 
+    def test_engine_rejects_leaky_world(self):
+        # The batched kernels price no leakage, so the engine itself
+        # (not only run_batch's config screen) must turn leaky worlds away.
+        leaky = small(self_discharge_fraction_per_day=0.02)
+        with pytest.raises(ValueError, match="leakage"):
+            BatchedEngine([leaky])
+        with pytest.raises(ValueError, match="leakage"):
+            BatchedEnv([leaky]).reset()
+
 
 class TestRunBatchParity:
     def test_mixed_schedulers_and_seeds(self):
