@@ -29,10 +29,10 @@ Knobs (the same pattern as ``REPRO_SOA`` in :mod:`repro.sim.soa`):
 stop/depot (origin) distance rows for one position array, so greedy,
 insertion, partition, the nearest-neighbour tour and 2-opt measure each
 leg once per scheduling event instead of once per use.
-:func:`distance_cache_for` adds an identity-keyed registry (the
-``kdtree_for`` pattern) so repeated planning over the *same* array —
-the insertion trimming loop re-touring the same cluster members, the
-greedy round chaining picks over one snapshot — shares one cache.
+:func:`distance_cache_for` adds an identity-keyed registry so repeated
+planning over the *same* array — the insertion trimming loop
+re-touring the same cluster members, the greedy round chaining picks
+over one snapshot — shares one cache.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class DistanceCache:
     """Memoized distance geometry over one ``(n, 2)`` stop array.
 
     The array is treated as immutable after construction (the repo-wide
-    position contract; see :func:`repro.geometry.points.kdtree_for`).
+    position contract: positions are rebound, never edited in place).
     Everything is measured with ``np.hypot``, the library-wide metric,
     so a cached entry is bit-identical to a direct measurement.
     """

@@ -1,16 +1,16 @@
 """Persistent warm worker pool for sweep fan-out.
 
 The cold executor path builds a fresh ``multiprocessing.Pool`` per
-``map_configs`` call: every sweep pays interpreter start, numpy/scipy
-imports and simulator warm-up in each worker, then throws that state
+``map_configs`` call: every sweep pays interpreter start, numpy and
+simulator imports and warm-up in each worker, then throws that state
 away.  :class:`WarmPool` keeps a fixed set of worker processes alive
 across calls, so repeated sweeps — the ERP grids behind every figure,
 and the thousands of rollouts a learned charging policy needs — pay
 those costs once per worker instead of once per sweep:
 
 * **warm reuse** — workers survive between ``run`` / ``run_iter``
-  calls; module-level caches (the scheduler ``DistanceCache``, kd-tree
-  identity caches, compiled regexes, ...) stay hot;
+  calls; module-level caches (the scheduler ``DistanceCache``, the
+  Dijkstra weight check, compiled regexes, ...) stay hot;
 * **health** — the parent dispatches tasks over a dedicated duplex
   pipe per worker (one task outstanding each), so it always knows
   which task a worker holds: a worker that dies mid-task is detected
@@ -278,10 +278,6 @@ def _worker_main(worker_id: int, conn, use_shm: bool, stream: bool = False) -> N
     """
     import numpy  # noqa: F401  (warm the import once per worker)
 
-    try:
-        import scipy  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a hard dep in practice
-        pass
     from ..sim import runner  # noqa: F401  (warm the simulator import graph)
 
     if stream:

@@ -31,17 +31,17 @@ def detection_matrix(sensors: np.ndarray, targets: np.ndarray, sensing_range: fl
         raise ValueError("sensing_range must be non-negative")
     if len(sensors) == 0 or len(targets) == 0:
         return np.zeros((len(sensors), len(targets)), dtype=bool)
-    diff = sensors[:, None, :] - targets[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return dist <= sensing_range
+    dx = sensors[:, 0, None] - targets[None, :, 0]
+    dy = sensors[:, 1, None] - targets[None, :, 1]
+    return np.hypot(dx, dy) <= sensing_range
 
 
 def detectors_of_targets(sensors: np.ndarray, targets: np.ndarray, sensing_range: float) -> list:
     """For every target, the sorted indices of sensors that detect it.
 
     The per-target candidate sets :math:`P(i)` of Algorithm 1, phase 1.
-    Uses a k-d tree so rebuilding candidate sets at every target
-    relocation stays cheap.
+    Uses the grid cell list of :func:`~repro.geometry.points.neighbors_within`,
+    so rebuilding candidate sets at every target relocation stays cheap.
     """
     return neighbors_within(targets, sensors, sensing_range)
 

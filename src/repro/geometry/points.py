@@ -9,12 +9,9 @@ same vectorization.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "as_points",
@@ -23,7 +20,6 @@ __all__ = [
     "pairwise_distances",
     "pairs_within",
     "neighbors_within",
-    "kdtree_for",
     "path_length",
     "nearest_index",
 ]
@@ -83,76 +79,93 @@ def pairwise_distances(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndar
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-# k-d trees keyed on the identity of the (already canonical) position
-# array.  Consumers in this codebase treat position arrays as immutable
-# — relocation rebinds a fresh array rather than writing in place — so
-# the same array object always describes the same point set.  The LRU
-# cap bounds memory (the tree itself references the data, keeping the
-# array alive while cached); the weakref identity check guards against
-# id() reuse after an eviction, so a stale address can never hit.
-_TREE_CACHE: "OrderedDict[int, Tuple[weakref.ref, cKDTree]]" = OrderedDict()
-_TREE_CACHE_MAX = 64
+_FORWARD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+_AROUND = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
-def kdtree_for(pts: np.ndarray) -> cKDTree:
-    """A :class:`cKDTree` over ``pts``, cached on array identity.
+class _CellGrid:
+    """The rows of ``pts`` sorted by square cells a hair wider than
+    ``radius``, so two points that pass the distance test sit in the same
+    or adjacent cells whatever the rounding.  Cells are at least
+    ``span / 2**30`` wide, so the key ``cx * width + cy`` fits in int64
+    however small the radius, and at least ``1e-150``, below which a
+    squared offset underflows to zero and passes any radius."""
 
-    Passing the *same array object* again returns the same tree without
-    rebuilding it — coverage, clustering and topology construction all
-    query the identical sensor-position array many times per run.  The
-    caller must not mutate ``pts`` in place after the first call (no
-    consumer in this library does; positions are rebound, not edited).
-    Arrays that fail :func:`as_points` canonicalization are still
-    handled, but each call builds a fresh tree for the canonical copy.
-    """
-    pts = as_points(pts)
-    key = id(pts)
-    hit = _TREE_CACHE.get(key)
-    if hit is not None and hit[0]() is pts:
-        _TREE_CACHE.move_to_end(key)
-        return hit[1]
-    tree = cKDTree(pts)
+    def __init__(self, pts: np.ndarray, radius: float) -> None:
+        self.lo = float(pts.min())  # one origin for both axes: cheaper, and empty cells are free
+        span = float(pts.max()) - self.lo
+        self.side = max(radius * (1.0 + 1e-12) + 1e-12 * span, span * 2.0**-30, 1e-150)
+        self.top = np.floor(span / self.side)
+        self.width = int(self.top) + 8  # room for clamped cells and their neighbours
+        key = self.key_of(pts)
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
 
-    # The cache dict is bound as a default argument: at interpreter
-    # shutdown module globals are cleared before the last weakref
-    # callbacks fire, so a global lookup here would hit ``None``.
-    def _evict(
-        _ref: weakref.ref, _key: int = key, _cache: OrderedDict = _TREE_CACHE
-    ) -> None:
-        _cache.pop(_key, None)
+    def key_of(self, pts: np.ndarray) -> np.ndarray:
+        """Cell key of each row; far-away rows clamp to two cells outside."""
+        cell = np.floor((pts - self.lo) / self.side)
+        np.maximum(cell, -2.0, out=cell)
+        np.minimum(cell, self.top + 2.0, out=cell)
+        cell = cell.astype(np.int64) + 4
+        return cell[:, 0] * self.width + cell[:, 1]
 
-    _TREE_CACHE[key] = (weakref.ref(pts, _evict), tree)
-    _TREE_CACHE.move_to_end(key)
-    while len(_TREE_CACHE) > _TREE_CACHE_MAX:
-        _TREE_CACHE.popitem(last=False)
-    return tree
+    def candidates(self, keys: np.ndarray, offsets: tuple, after_self: bool = False):
+        """Pairings ``(k, pos)`` of each ``keys[k]`` with the sorted
+        positions of the rows in cells ``keys[k] + offset``.  With
+        ``after_self`` (``keys`` is :attr:`keys`), the first offset, the
+        own cell, yields only the positions after ``k``."""
+        q = keys + np.array([dx * self.width + dy for dx, dy in offsets])[:, None]
+        lo = np.searchsorted(self.keys, q)
+        hi = np.searchsorted(self.keys, q, side="right")
+        if after_self:
+            lo[0] = np.arange(1, len(keys) + 1)
+        lo, count = lo.ravel(), (hi - lo).ravel()
+        k = np.repeat(np.tile(np.arange(len(keys)), len(offsets)), count)
+        return k, np.arange(len(k)) + np.repeat(lo - (np.cumsum(count) - count), count)
+
+
+def _within(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray, radius: float):
+    """Mask of ``|a[i] - b[j]| <= radius``, squared as cKDTree does."""
+    (ax, ay), (bx, by) = a.T, b.T  # 1-D gathers are much cheaper than row gathers
+    dx, dy = ax[i] - bx[j], ay[i] - by[j]
+    return dx * dx + dy * dy <= radius * radius
 
 
 def pairs_within(pts: np.ndarray, radius: float) -> np.ndarray:
     """All index pairs ``(i, j), i < j`` with ``dist <= radius``.
 
-    Backed by a cached k-d tree (:func:`kdtree_for`), so building a
-    unit-disk communication graph is ``O(n log n + k)`` instead of the
-    naive ``O(n^2)`` and repeated queries over the same point array skip
-    the tree build entirely.  Returns an ``(k, 2)`` int array (possibly
-    empty).
+    A uniform-grid cell list compares only points in the same or adjacent
+    cells: ``O(n log n + k)`` time and memory, not ``O(n^2)``.  The test
+    is ``dx*dx + dy*dy <= radius*radius``, as in a
+    :class:`scipy.spatial.cKDTree`, so boundary ties resolve the same
+    way.  Returns a ``(k, 2)`` int array (possibly empty) in
+    lexicographic ``(i, j)`` order.
     """
     pts = as_points(pts)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         return np.empty((0, 2), dtype=np.intp)
-    tree = kdtree_for(pts)
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
-    return pairs.astype(np.intp, copy=False)
+    grid = _CellGrid(pts, radius)
+    # The own cell and the four forward neighbours: each unordered pair
+    # of points is a candidate exactly once.
+    a, b = grid.candidates(grid.keys, _FORWARD, after_self=True)
+    a, b = grid.order[a], grid.order[b]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keep = _within(pts, i, pts, j, radius)
+    i, j = i[keep], j[keep]
+    order = np.argsort(i * n + j)
+    return np.stack([i[order], j[order]], axis=1)
 
 
 def neighbors_within(centers: np.ndarray, pts: np.ndarray, radius: float) -> list:
     """For each center, the indices of ``pts`` within ``radius``.
 
     Returns a list (one entry per center) of sorted int arrays.  This is
-    the primitive behind "which sensors can detect target t".  The k-d
-    tree over ``pts`` comes from the identity cache (:func:`kdtree_for`).
+    the primitive behind "which sensors can detect target t".  Same
+    cell list and distance test as :func:`pairs_within`; centers may lie
+    anywhere, inside the field of ``pts`` or not.
     """
     centers = as_points(centers)
     pts = as_points(pts)
@@ -160,9 +173,15 @@ def neighbors_within(centers: np.ndarray, pts: np.ndarray, radius: float) -> lis
         raise ValueError("radius must be non-negative")
     if len(pts) == 0:
         return [np.empty(0, dtype=np.intp) for _ in range(len(centers))]
-    tree = kdtree_for(pts)
-    hits = tree.query_ball_point(centers, r=radius)
-    return [np.asarray(sorted(h), dtype=np.intp) for h in hits]
+    grid = _CellGrid(pts, radius)
+    c, pos = grid.candidates(grid.key_of(centers), _AROUND)
+    p = grid.order[pos]
+    keep = _within(centers, c, pts, p, radius)
+    c, p = c[keep], p[keep]
+    order = np.argsort(c * len(pts) + p)
+    c, p = c[order], p[order]
+    bounds = np.searchsorted(c, np.arange(len(centers) + 1))
+    return [p[bounds[k] : bounds[k + 1]] for k in range(len(centers))]
 
 
 def path_length(pts: np.ndarray) -> float:

@@ -9,14 +9,13 @@ The adjacency is stored in CSR form (``indptr``/``indices``/``weights``)
 — compact, cache-friendly, and exactly what the from-scratch Dijkstra
 in :mod:`repro.network.dijkstra` consumes.  A :mod:`networkx` view is
 available for interoperability and for cross-validating the routing
-code in the test suite.
+code in the test suite; ``networkx`` is optional and loaded only there.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from ..geometry.points import as_points, pairs_within
@@ -58,24 +57,16 @@ class Topology:
     def _build_csr(self) -> None:
         n = len(self.points)
         pairs = pairs_within(self.points, self.comm_range)
-        if len(pairs) == 0:
-            self.indptr = np.zeros(n + 1, dtype=np.intp)
-            self.indices = np.empty(0, dtype=np.intp)
-            self.weights = np.empty(0, dtype=np.float64)
-            self.n_edges = 0
-            return
         # Symmetrize: every undirected pair becomes two directed arcs.
         src = np.concatenate([pairs[:, 0], pairs[:, 1]])
         dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        d = self.points[src] - self.points[dst]
-        w = np.hypot(d[:, 0], d[:, 1])
         order = np.argsort(src, kind="stable")
-        src, dst, w = src[order], dst[order], w[order]
+        src, dst = src[order], dst[order]
+        d = self.points[src] - self.points[dst]
         self.indptr = np.zeros(n + 1, dtype=np.intp)
-        np.add.at(self.indptr, src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.indices = dst
-        self.weights = w
+        self.weights = np.hypot(d[:, 0], d[:, 1])
         self.n_edges = len(pairs)
 
     def __len__(self) -> int:
@@ -111,8 +102,10 @@ class Topology:
                     stack.append(int(v))
         return seen[: self.n_sensors]
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self):
         """A :class:`networkx.Graph` view with ``weight`` edge attributes."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(len(self.points)))
         for u in range(len(self.points)):

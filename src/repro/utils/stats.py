@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["mean_std", "t_confidence_interval", "summarize_runs"]
 
@@ -48,6 +47,8 @@ def t_confidence_interval(
     sem = float(arr.std(ddof=1)) / np.sqrt(arr.size)
     if sem == 0.0:
         return m, m
+    from scipy import stats as sps  # on first use: it outweighs all of ``import repro``
+
     half = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1)) * sem
     return m - half, m + half
 

@@ -165,52 +165,107 @@ class TestNearestIndex:
             nearest_index([0, 0], np.empty((0, 2)))
 
 
-class TestKdtreeCache:
-    def test_same_array_returns_same_tree(self):
-        from repro.geometry.points import kdtree_for
+def _kdtree_pairs(pts, radius):
+    """``pairs_within`` as a :class:`scipy.spatial.cKDTree` computes it."""
+    from scipy.spatial import cKDTree
 
-        pts = np.random.default_rng(0).uniform(0, 10, size=(20, 2))
-        assert kdtree_for(pts) is kdtree_for(pts)
+    if len(pts) < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    pairs = cKDTree(pts).query_pairs(r=radius, output_type="ndarray").reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
-    def test_distinct_arrays_get_distinct_trees(self):
-        from repro.geometry.points import kdtree_for
 
-        pts = np.random.default_rng(0).uniform(0, 10, size=(20, 2))
-        assert kdtree_for(pts) is not kdtree_for(pts.copy())
+def _kdtree_neighbors(centers, pts, radius):
+    """``neighbors_within`` as a :class:`scipy.spatial.cKDTree` computes it."""
+    from scipy.spatial import cKDTree
 
-    def test_queries_match_fresh_tree(self):
-        from scipy.spatial import cKDTree
+    if len(pts) == 0:
+        return [[] for _ in range(len(centers))]
+    if len(centers) == 0:
+        return []
+    return [sorted(h) for h in cKDTree(pts).query_ball_point(centers, r=radius)]
 
-        from repro.geometry.points import kdtree_for, pairs_within
 
-        pts = np.random.default_rng(1).uniform(0, 10, size=(30, 2))
-        cached = kdtree_for(pts)
-        fresh = cKDTree(pts)
-        got = cached.query_pairs(r=3.0, output_type="ndarray")
-        want = fresh.query_pairs(r=3.0, output_type="ndarray")
-        assert np.array_equal(np.sort(got, axis=0), np.sort(want, axis=0))
-        # The public helpers route through the cache and stay correct
-        # on repeated calls over the same array.
-        assert np.array_equal(pairs_within(pts, 3.0), pairs_within(pts, 3.0))
+def _assert_match_kdtree(pts, radius, centers):
+    got = pairs_within(pts, radius)
+    assert got.shape[1] == 2
+    assert np.array_equal(got, _kdtree_pairs(pts, radius))
+    hits = neighbors_within(centers, pts, radius)
+    assert [h.tolist() for h in hits] == _kdtree_neighbors(centers, pts, radius)
+    assert all(h.dtype == np.intp for h in hits)
 
-    def test_stale_identity_never_hits(self):
-        # The entry's weakref must point at the exact array object; an
-        # id() collision with a dead array can never return its tree.
-        from repro.geometry import points as points_mod
 
-        pts = np.random.default_rng(2).uniform(0, 10, size=(10, 2))
-        tree = points_mod.kdtree_for(pts)
-        key = id(pts)
-        ref, cached = points_mod._TREE_CACHE[key]
-        assert cached is tree and ref() is pts
+class TestGridMatchesKdtree:
+    """The cell-list queries return exactly what a k-d tree returns."""
 
-    def test_lru_bound(self):
-        from repro.geometry import points as points_mod
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        side = rng.uniform(5.0, 300.0)
+        pts = rng.uniform(0.0, side, size=(int(rng.integers(2, 800)), 2))
+        centers = rng.uniform(0.0, side, size=(int(rng.integers(1, 40)), 2))
+        _assert_match_kdtree(pts, float(rng.uniform(0.5, 30.0)), centers)
 
-        keep = [
-            np.random.default_rng(i).uniform(0, 10, size=(4, 2))
-            for i in range(points_mod._TREE_CACHE_MAX + 5)
-        ]
-        for arr in keep:
-            points_mod.kdtree_for(arr)
-        assert len(points_mod._TREE_CACHE) <= points_mod._TREE_CACHE_MAX
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 5.0, 12.0])
+    def test_integer_lattice_boundary_ties(self, seed, radius):
+        # Integer coordinates put many pairs at exactly ``radius``
+        # (3-4-5 triangles, axis neighbours): ties must be kept.
+        rng = np.random.default_rng(seed)
+        pts = np.round(rng.uniform(-20.0, 40.0, size=(600, 2)))
+        centers = np.round(rng.uniform(-25.0, 45.0, size=(30, 2)))
+        _assert_match_kdtree(pts, radius, centers)
+        d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+        assert np.any(d == radius)  # the case is really exercised
+
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 3.0])
+    def test_duplicate_points(self, radius):
+        rng = np.random.default_rng(3)
+        base = np.round(rng.uniform(0.0, 10.0, size=(40, 2)))
+        pts = np.concatenate([base, base[::2], base[:5]])
+        _assert_match_kdtree(pts, radius, base[:10])
+
+    def test_radius_zero_pairs_exact_duplicates_only(self):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0 + 1e-12], [2.0, 2.0]])
+        assert pairs_within(pts, 0.0).tolist() == [[0, 1]]
+        assert [h.tolist() for h in neighbors_within([[1.0, 1.0]], pts, 0.0)] == [[0, 1]]
+
+    def test_empty_and_single_inputs(self):
+        one = np.array([[3.0, 4.0]])
+        assert pairs_within(np.empty((0, 2)), 1.0).shape == (0, 2)
+        assert pairs_within(one, 1.0).shape == (0, 2)
+        assert neighbors_within(np.empty((0, 2)), one, 1.0) == []
+        (hit,) = neighbors_within([[3.0, 4.5]], one, 1.0)
+        assert hit.tolist() == [0]
+        (miss,) = neighbors_within([[3.0, 4.5]], np.empty((0, 2)), 1.0)
+        assert miss.size == 0
+
+    def test_centers_outside_field_and_negative_coordinates(self):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-50.0, -10.0, size=(300, 2))
+        centers = np.concatenate(
+            [
+                rng.uniform(-60.0, 0.0, size=(20, 2)),
+                [[-1e9, -1e9], [1e12, -30.0], [-30.0, 1e15], [-9.0, -9.0], [-51.0, -30.0]],
+            ]
+        )
+        _assert_match_kdtree(pts, 4.0, centers)
+
+    def test_cell_index_range_beyond_int64_key(self):
+        # span / radius is ~2e15 cells per axis: a naive ``cy * w + cx``
+        # key over that grid would need ~4e30 and overflow int64.
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1e6, 1e6, size=(200, 2))
+        pts = np.concatenate([pts, pts[:20] + [5e-10, 0.0], pts[20:30]])
+        radius = 1e-9
+        assert ((pts.max() - pts.min()) / radius) ** 2 > 2.0**63
+        _assert_match_kdtree(pts, radius, pts[:25] + [0.0, 9e-10])
+        assert len(pairs_within(pts, radius)) == 30
+
+    def test_pairs_in_lexicographic_order(self):
+        pts = np.random.default_rng(11).uniform(0.0, 30.0, size=(400, 2))
+        pairs = pairs_within(pts, 4.0)
+        assert len(pairs) > 100
+        assert np.all(pairs[:, 0] < pairs[:, 1])
+        key = pairs[:, 0] * len(pts) + pairs[:, 1]
+        assert np.all(np.diff(key) > 0)
