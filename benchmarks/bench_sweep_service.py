@@ -2,9 +2,9 @@
 
 Three executions of the same 8-cell ERP grid, each run twice:
 
-* **cold** — a fresh ``multiprocessing.Pool`` per sweep (the pre-warm
-  executor behavior): every sweep pays worker spawn plus the
-  numpy/simulator import bill;
+* **cold** — a fresh :class:`repro.experiments.pool.WarmPool` per
+  sweep (the shared pool is shut down before each one): every sweep
+  pays worker spawn plus the numpy/simulator import bill;
 * **warm** — the persistent :class:`repro.experiments.pool.WarmPool`:
   the second sweep reuses live workers and pays neither;
 * **warm + store** — the warm pool plus a content-addressed
@@ -12,8 +12,8 @@ Three executions of the same 8-cell ERP grid, each run twice:
   parent-side store hits and runs no simulation at all.
 
 ``REPRO_START_METHOD=spawn`` is forced for every pooled leg so the
-per-worker import bill is real on any host (under ``fork`` the cold
-path inherits the parent's imports nearly free, which would understate
+per-worker import bill is real on any host (under ``fork`` a fresh
+pool inherits the parent's imports nearly free, which would understate
 what a long-lived service actually saves — and CI runs the spawn path
 anyway).  Every leg must serialize byte-identically to the serial
 executor; the recorded ``speedup_warm`` (cold second sweep vs warm
@@ -56,12 +56,9 @@ def _timed(fn):
 
 
 def bench_sweep_service():
-    # The disk cache would collapse every leg into replays, and ambient
-    # warm/store opt-ins would blur the A/B; measure the real paths.
-    saved = {
-        var: os.environ.pop(var, None)
-        for var in ("REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL")
-    }
+    # An ambient result store would collapse every leg into replays;
+    # measure the real paths.
+    saved_store = os.environ.pop("REPRO_STORE", None)
     os.environ["REPRO_START_METHOD"] = "spawn"
     store_root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
@@ -70,15 +67,17 @@ def bench_sweep_service():
 
         sweeps = {}
         shutdown_warm_pool()
-        for leg, kwargs in (
-            ("cold", {"warm": False}),
-            ("warm", {"warm": True}),
-            ("store", {"warm": True, "store": ResultStore(store_root)}),
+        for leg, store in (
+            ("cold", None),
+            ("warm", None),
+            ("store", ResultStore(store_root)),
         ):
             for attempt in ("first", "second"):
+                if leg == "cold":
+                    shutdown_warm_pool()  # a fresh pool for every cold sweep
                 t, cells = _timed(
-                    lambda kw=kwargs: map_cells(
-                        SCALE, SCHEDULERS, ERPS, jobs=JOBS, **kw
+                    lambda st=store: map_cells(
+                        SCALE, SCHEDULERS, ERPS, jobs=JOBS, store=st
                     )
                 )
                 sweeps[f"{leg}_{attempt}"] = t
@@ -88,9 +87,8 @@ def bench_sweep_service():
         shutdown_warm_pool()
         shutil.rmtree(store_root, ignore_errors=True)
         os.environ.pop("REPRO_START_METHOD", None)
-        for var, value in saved.items():
-            if value is not None:
-                os.environ[var] = value
+        if saved_store is not None:
+            os.environ["REPRO_STORE"] = saved_store
 
     speedup_warm = sweeps["cold_second"] / max(sweeps["warm_second"], 1e-9)
     speedup_service = sweeps["cold_second"] / max(sweeps["store_second"], 1e-9)
@@ -99,7 +97,7 @@ def bench_sweep_service():
     table = format_table(
         ["leg", "first sweep s", "second sweep s"],
         [
-            ["cold pool per call", round(sweeps["cold_first"], 3),
+            ["fresh pool per sweep", round(sweeps["cold_first"], 3),
              round(sweeps["cold_second"], 3)],
             ["warm pool", round(sweeps["warm_first"], 3),
              round(sweeps["warm_second"], 3)],

@@ -397,7 +397,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = SweepService(
             args.socket,
             jobs=args.jobs,
-            warm=not args.cold,
             store_dir=args.store,
             idle_timeout_s=args.idle_timeout,
             postmortem_dir=args.postmortem,
@@ -715,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: REPRO_SLO; violations count into monitors.violations "
              "and raise under REPRO_STRICT_MONITORS)",
     )
-    p_serve.set_defaults(func=_cmd_serve, cold=False)
+    p_serve.set_defaults(func=_cmd_serve)
 
     p_top = sub.add_parser(
         "top", help="live dashboard over a serving `repro serve --live-port`"

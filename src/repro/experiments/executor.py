@@ -8,36 +8,28 @@ keeping the output *bit-identical* to the serial path:
 * every cell is keyed by ``(scheduler, erp, seed)`` and the results are
   reassembled in grid order in the parent, so averaging and JSON
   serialization see exactly the sequence the serial loop would produce;
-* cache lookups (``REPRO_CACHE``) and content-addressed store lookups
-  (``REPRO_STORE``, :mod:`repro.experiments.store`) happen in the
-  parent — only misses are shipped to the pool — and completed cells
-  are stored by the parent, so workers stay pure functions of their
-  configuration;
+* content-addressed store lookups (``REPRO_STORE``,
+  :mod:`repro.experiments.store`) happen in the parent — only misses
+  are shipped to the pool — and completed cells are stored by the
+  parent, so workers stay pure functions of their configuration;
 * the worker entry point is the module-level
   :func:`repro.sim.runner.run_simulation` over a picklable frozen
   ``SimulationConfig``, which makes the pool safe under both ``fork``
   and ``spawn`` start methods (``REPRO_START_METHOD`` forces one).
 
 Worker count comes from the ``jobs`` argument, else ``REPRO_JOBS``,
-else the older ``REPRO_PROCS`` knob, else 1 (serial, in-process).
-``auto`` (either the argument via the CLI or the environment variable)
-resolves to ``os.cpu_count()``.  The CLI exposes the same control as
-``--jobs``.
+else 1 (serial, in-process).  ``auto`` (either the argument via the
+CLI or the environment variable) resolves to ``os.cpu_count()``.  The
+CLI exposes the same control as ``--jobs``.
 
-Two pool backends execute the misses:
-
-* the default **cold pool** — a fresh ``multiprocessing.Pool`` per
-  call, torn down when the call returns (nothing persists);
-* the **warm pool** (``warm=True`` or ``REPRO_WARM_POOL=1``) — the
-  process-wide persistent :class:`repro.experiments.pool.WarmPool`,
-  which survives across calls and amortizes interpreter start, imports
-  and per-worker caches.  Results come back through shared-memory
-  segments instead of pickle pipes where available.
-
-Both backends run the same worker functions over the same payloads in
-the same grid order, so summaries are byte-identical across
-``{jobs} x {warm}`` (covered by the golden execution matrix).  Nothing
-warm is imported — let alone spawned — unless a caller opts in.
+With ``jobs > 1`` the misses run on the process-wide persistent
+:class:`repro.experiments.pool.WarmPool`, which survives across calls
+and amortizes interpreter start, imports and per-worker caches.  The
+pool runs the same worker functions over the same payloads as the
+serial loop and the parent reassembles grid order, so summaries are
+byte-identical for any ``jobs`` (covered by the golden execution
+matrix).  The pool module is imported — and workers spawned — only on
+the first parallel call.
 
 Streaming: :func:`iter_configs` yields ``(index, summary, source)``
 per cell *as cells finish*, and :func:`submit_grid` wraps a whole
@@ -45,7 +37,7 @@ sweep grid into a :class:`GridJob` whose ``results()`` reassembles
 grid order at the end — the primitive behind ``repro serve`` /
 ``repro submit`` (:mod:`repro.experiments.service`).
 
-Batching: with ``REPRO_BATCH=1``, plain (untraced, unrecorded) cache
+Batching: with ``REPRO_BATCH=1``, plain (untraced, unrecorded) store
 misses are grouped by :func:`repro.sim.batch.shape_signature` —
 identical configurations up to seed / scheduler / erp / horizon — and
 each group is chunked into shape-batches of at most ``REPRO_BATCH_SIZE``
@@ -58,14 +50,14 @@ the pool's ``tasks`` / ``warm_hits`` stats are weighted so a k-cell
 batch counts k cells, not one payload.
 
 Observability: pass an :class:`repro.obs.Instruments` registry to
-record ``executor.cells`` / ``executor.cache_hits`` /
-``executor.store_hits`` / ``executor.cache_misses`` counters and the
-``executor.map`` phase timer (the warm pool adds ``pool.*`` gauges).
-Pass a :class:`repro.obs.SpanTracer` as ``spans`` and the fan-out
-becomes part of the flight-recorder trace: every cache miss runs
-through :func:`_run_cell_traced` (in the pool when ``jobs > 1``), its
+record ``executor.cells`` / ``executor.store_hits`` /
+``executor.cache_misses`` counters and the ``executor.map`` phase
+timer (the warm pool adds ``pool.*`` gauges).  Pass a
+:class:`repro.obs.SpanTracer` as ``spans`` and the fan-out becomes
+part of the flight-recorder trace: every store miss runs through
+:func:`_run_cell_traced` (in the pool when ``jobs > 1``), its
 serialized child spans are merged under the parent ``executor.map``
-span in miss order with deterministically renumbered ids, and cache
+span in miss order with deterministically renumbered ids, and store
 hits are recorded as events — so a ``--jobs 4`` trace reads exactly
 like the serial one.
 """
@@ -106,28 +98,23 @@ CellKey = Tuple[str, float, int]
 def default_jobs() -> int:
     """Worker count for cell fan-out when ``jobs`` is not given.
 
-    ``REPRO_JOBS`` wins; the older ``REPRO_PROCS`` (the seed-runner
-    knob) is honored as a fallback so existing setups keep
-    parallelizing; the default is 1 (serial) so library users opt in
-    explicitly.  Either variable may be ``auto``, which resolves to
-    ``os.cpu_count()``.
+    ``REPRO_JOBS``, else 1 (serial) so library users opt in
+    explicitly.  ``auto`` resolves to ``os.cpu_count()``.
     """
-    for var in ("REPRO_JOBS", "REPRO_PROCS"):
-        value = os.environ.get(var, "").strip()
-        if not value:
-            continue
-        if value.lower() == "auto":
-            return max(1, os.cpu_count() or 1)
-        try:
-            n = int(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{var} must be an integer or 'auto', got {value!r}"
-            ) from exc
-        if n < 1:
-            raise ValueError(f"{var} must be >= 1")
-        return n
-    return 1
+    value = os.environ.get("REPRO_JOBS", "").strip()
+    if not value:
+        return 1
+    if value.lower() == "auto":
+        return max(1, os.cpu_count() or 1)
+    try:
+        n = int(value)
+    except ValueError as exc:
+        raise ValueError(
+            f"REPRO_JOBS must be an integer or 'auto', got {value!r}"
+        ) from exc
+    if n < 1:
+        raise ValueError("REPRO_JOBS must be >= 1")
+    return n
 
 
 def default_batch_size() -> int:
@@ -162,7 +149,7 @@ def _batch_requested() -> bool:
 def _batch_payloads(
     configs: Sequence[SimulationConfig], misses: Sequence[int]
 ) -> Tuple[List[List[int]], List[Tuple[SimulationConfig, ...]]]:
-    """Group cache-miss cells into shape-batch payloads.
+    """Group store-miss cells into shape-batch payloads.
 
     Misses are grouped by :func:`repro.sim.batch.shape_signature`
     (preserving miss order within a group — the batched engine returns
@@ -280,32 +267,14 @@ def _run_cell_batch(
 
 
 #: Miss-execution worker functions by task kind.  The warm pool
-#: resolves the same table by name inside its workers, so both
-#: backends run exactly the same code over the same payloads.
+#: resolves the same table by name inside its workers, so the serial
+#: loop and the pool run exactly the same code over the same payloads.
 _TASK_FNS = {
     "run": run_simulation,
     "traced": _run_cell_traced,
     "recorded": _run_cell_recorded,
     "batch": _run_cell_batch,
 }
-
-
-def _run_indexed(task: Tuple[int, str, Any]) -> Tuple[int, Any]:
-    """Pool worker for the streaming path: tag results with their
-    miss index so ``imap_unordered`` output can be re-keyed."""
-    index, kind, payload = task
-    return index, _TASK_FNS[kind](payload)
-
-
-def _warm_requested(warm: Optional[bool]) -> bool:
-    """Resolve the warm-pool opt-in: explicit argument, else
-    ``REPRO_WARM_POOL`` (off by default — nothing persists unless a
-    caller asks)."""
-    if warm is not None:
-        return bool(warm)
-    return os.environ.get("REPRO_WARM_POOL", "").strip().lower() in (
-        "1", "true", "yes", "on", "auto",
-    )
 
 
 def _resolve_store(store):
@@ -322,43 +291,28 @@ def _execute(
     kind: str,
     payloads: Sequence[Any],
     n_jobs: int,
-    warm: bool,
     instruments,
     weights: Optional[Sequence[int]] = None,
 ) -> List[Any]:
-    """Run miss payloads through the selected pool backend, in order.
+    """Run miss payloads and return their results in order.
 
     Serial (``n_jobs == 1`` or a single payload) runs in-process;
-    otherwise a fresh cold pool per call, or the persistent warm pool
-    when opted in.  All three produce the same ordered result list.
-    ``weights`` (cells per payload) keeps the warm pool's ``tasks`` /
-    ``warm_hits`` stats counting cells when payloads are shape-batches.
+    otherwise the payloads go to the shared warm pool.  ``weights``
+    (cells per payload) keeps the pool's ``tasks`` / ``warm_hits``
+    stats counting cells when payloads are shape-batches.
     """
     if n_jobs == 1 or len(payloads) == 1:
         fn = _TASK_FNS[kind]
         return [fn(p) for p in payloads]
-    if warm:
-        from .pool import get_warm_pool
+    from .pool import get_warm_pool
 
-        pool = get_warm_pool(n_jobs, start_method=_pool_start_method())
-        return pool.run(kind, payloads, instruments=instruments, weights=weights)
-    ctx = multiprocessing.get_context(_pool_start_method())
-    with ctx.Pool(min(n_jobs, len(payloads))) as pool:
-        return pool.map(_TASK_FNS[kind], payloads)
+    pool = get_warm_pool(n_jobs)
+    return pool.run(kind, payloads, instruments=instruments, weights=weights)
 
 
-def _lookup(config: SimulationConfig, store) -> Tuple[Optional[SimulationSummary], str]:
-    """Parent-side lookup chain: legacy cache, then result store."""
-    from .cache import cache_lookup
-
-    hit = cache_lookup(config)
-    if hit is not None:
-        return hit, "cache"
-    if store is not None:
-        hit = store.get(config)
-        if hit is not None:
-            return hit, "store"
-    return None, "run"
+def _lookup(config: SimulationConfig, store) -> Optional[SimulationSummary]:
+    """Parent-side lookup in the result store (None: miss or no store)."""
+    return store.get(config) if store is not None else None
 
 
 def _store_fresh(
@@ -367,12 +321,9 @@ def _store_fresh(
     store,
     source: str = "run",
 ) -> None:
-    """Persist a freshly computed cell into every enabled layer;
+    """Persist a freshly computed cell into the store, if any;
     ``source`` records how the cell was produced (``"run"`` serial,
     ``"batch"`` through the batched engine) in the store blob."""
-    from .cache import cache_store
-
-    cache_store(config, summary)
     if store is not None:
         store.put(config, summary, source=source)
 
@@ -383,24 +334,22 @@ def map_configs(
     instruments=None,
     spans=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
-    warm: Optional[bool] = None,
     store=None,
 ) -> List[SimulationSummary]:
-    """Run every configuration, in order, through cache + process pool.
+    """Run every configuration, in order, through store + process pool.
 
     The result list is aligned with ``configs`` regardless of the order
     workers finish in, so the output is bit-identical to running the
-    configurations serially.  Cache and store lookups/stores happen in
-    the parent process; only misses are executed (in the pool when
-    ``jobs > 1`` — the persistent warm pool when ``warm`` is true or
-    ``REPRO_WARM_POOL=1``, else a fresh pool per call).  ``store``
-    is a :class:`repro.experiments.store.ResultStore` (default: the
-    one named by ``REPRO_STORE``, or none).
+    configurations serially.  Store lookups and puts happen in the
+    parent process; only misses are executed (on the warm pool when
+    ``jobs > 1``).  ``store`` is a
+    :class:`repro.experiments.store.ResultStore` (default: the one
+    named by ``REPRO_STORE``, or none).
 
     With a ``spans`` tracer, each miss runs under a child tracer whose
     rows are absorbed under this call's ``executor.map`` span in miss
-    order (deterministic id renumbering), and cache hits become
-    ``executor.cache_hit`` events — the merged trace is identical in
+    order (deterministic id renumbering), and store hits become
+    ``executor.store_hit`` events — the merged trace is identical in
     structure for any ``jobs`` value.
 
     With ``postmortem_dir``, every miss runs with the flight recorder
@@ -414,33 +363,26 @@ def map_configs(
     n_jobs = default_jobs() if jobs is None else int(jobs)
     if n_jobs < 1:
         raise ValueError("jobs must be >= 1")
-    use_warm = _warm_requested(warm)
     store = _resolve_store(store)
 
     results: List[Optional[SimulationSummary]] = [None] * len(configs)
     misses: List[int] = []
-    store_hits = 0
     with obs.timer("executor.map"), sp.span(
         "executor.map", cells=len(configs), jobs=n_jobs
     ) as sweep_span:
         for i, cfg in enumerate(configs):
-            hit, source = _lookup(cfg, store)
+            hit = _lookup(cfg, store)
             if hit is not None:
                 results[i] = hit
-                store_hits += source == "store"
                 if sp.enabled:
                     sp.event(
-                        "executor.cache_hit" if source == "cache"
-                        else "executor.store_hit",
+                        "executor.store_hit",
                         cell=i, scheduler=cfg.scheduler, erp=cfg.erp, seed=cfg.seed,
                     )
             else:
                 misses.append(i)
         obs.counter("executor.cells").inc(len(configs))
-        obs.counter("executor.cache_hits").inc(
-            len(configs) - len(misses) - store_hits
-        )
-        obs.counter("executor.store_hits").inc(store_hits)
+        obs.counter("executor.store_hits").inc(len(configs) - len(misses))
         obs.counter("executor.cache_misses").inc(len(misses))
         sweep_span.set(cache_hits=len(configs) - len(misses))
         if misses:
@@ -465,7 +407,7 @@ def map_configs(
                 # engine; summaries reassemble to the same grid slots.
                 chunks, batch_payloads = _batch_payloads(configs, misses)
                 outputs = _execute(
-                    "batch", batch_payloads, n_jobs, use_warm, obs,
+                    "batch", batch_payloads, n_jobs, obs,
                     weights=[len(c) for c in chunks],
                 )
                 for chunk, summaries in zip(chunks, outputs):
@@ -475,7 +417,7 @@ def map_configs(
                         _store_fresh(configs[i], summary, store, source="batch")
                         results[i] = summary
             else:
-                outputs = _execute(kind, payloads, n_jobs, use_warm, obs)
+                outputs = _execute(kind, payloads, n_jobs, obs)
                 for i, out in zip(misses, outputs):
                     h_cell.observe(time.perf_counter() - t_fan)
                     if kind == "run":
@@ -495,7 +437,6 @@ def map_configs(
 def iter_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
-    warm: Optional[bool] = None,
     store=None,
     instruments=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
@@ -503,15 +444,14 @@ def iter_configs(
     """Stream per-cell results as they finish.
 
     Yields ``(index, summary, source)`` where ``index`` points into
-    ``configs`` and ``source`` is ``"cache"``, ``"store"``, ``"run"``
-    or ``"batch"`` (a fresh cell computed through the batched engine
-    under ``REPRO_BATCH=1``).  Cache/store hits are yielded first (in
-    index order); misses follow in *completion* order — callers that
-    need the serial sequence reassemble by index (:class:`GridJob`
-    does).  Shape-batched misses finish a chunk at a time and are
-    streamed per cell.  Fresh results are persisted to the enabled
-    layers as they arrive, so a second identical submission is all
-    hits.
+    ``configs`` and ``source`` is ``"store"``, ``"run"`` or ``"batch"``
+    (a fresh cell computed through the batched engine under
+    ``REPRO_BATCH=1``).  Store hits are yielded first (in index
+    order); misses follow in *completion* order — callers that need
+    the serial sequence reassemble by index (:class:`GridJob` does).
+    Shape-batched misses finish a chunk at a time and are streamed per
+    cell.  Fresh results are persisted to the store as they arrive, so
+    a second identical submission is all hits.
 
     This is the streaming sibling of :func:`map_configs` (which should
     be preferred when span tracing is needed — streaming runs are not
@@ -522,21 +462,17 @@ def iter_configs(
     n_jobs = default_jobs() if jobs is None else int(jobs)
     if n_jobs < 1:
         raise ValueError("jobs must be >= 1")
-    use_warm = _warm_requested(warm)
     store = _resolve_store(store)
 
     misses: List[int] = []
-    store_hits = 0
     for i, cfg in enumerate(configs):
-        hit, source = _lookup(cfg, store)
+        hit = _lookup(cfg, store)
         if hit is not None:
-            store_hits += source == "store"
-            yield i, hit, source
+            yield i, hit, "store"
         else:
             misses.append(i)
     obs.counter("executor.cells").inc(len(configs))
-    obs.counter("executor.cache_hits").inc(len(configs) - len(misses) - store_hits)
-    obs.counter("executor.store_hits").inc(store_hits)
+    obs.counter("executor.store_hits").inc(len(configs) - len(misses))
     obs.counter("executor.cache_misses").inc(len(misses))
     if not misses:
         return
@@ -558,7 +494,7 @@ def iter_configs(
 
     # Per-cell latency from fan-out start to completion — the live
     # plane's p99 SLO substrate.  Only misses are timed (hits above
-    # were answered from the cache/store in microseconds).
+    # were answered from the store in microseconds).
     h_cell = obs.histogram("executor.cell_latency_s", DEFAULT_LATENCY_BUCKETS)
     t_fan = time.perf_counter()
 
@@ -581,18 +517,12 @@ def iter_configs(
         fn = _TASK_FNS[kind]
         for j, payload in enumerate(payloads):
             yield from _emit(j, fn(payload))
-    elif use_warm:
+    else:
         from .pool import get_warm_pool
 
-        pool = get_warm_pool(n_jobs, start_method=_pool_start_method())
+        pool = get_warm_pool(n_jobs)
         for j, out in pool.run_iter(kind, payloads, instruments=obs, weights=weights):
             yield from _emit(j, out)
-    else:
-        ctx = multiprocessing.get_context(_pool_start_method())
-        tasks = [(j, kind, p) for j, p in enumerate(payloads)]
-        with ctx.Pool(min(n_jobs, len(tasks))) as pool:
-            for j, out in pool.imap_unordered(_run_indexed, tasks):
-                yield from _emit(j, out)
 
 
 @dataclass(frozen=True)
@@ -602,7 +532,7 @@ class CellResult:
     index: int
     key: CellKey
     summary: SimulationSummary
-    source: str  # "cache" | "store" | "run" | "batch"
+    source: str  # "store" | "run" | "batch"
 
 
 class GridJob:
@@ -683,7 +613,6 @@ def submit_grid(
     schedulers: Sequence[str],
     erps: Sequence[float],
     jobs: Optional[int] = None,
-    warm: Optional[bool] = None,
     store=None,
     instruments=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
@@ -701,7 +630,7 @@ def submit_grid(
     return GridJob(
         keys,
         iter_configs(
-            configs, jobs=jobs, warm=warm, store=store,
+            configs, jobs=jobs, store=store,
             instruments=instruments, postmortem_dir=postmortem_dir,
         ),
     )
@@ -715,7 +644,6 @@ def map_cells(
     instruments=None,
     spans=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
-    warm: Optional[bool] = None,
     store=None,
     **overrides,
 ) -> Dict[CellKey, SimulationSummary]:
@@ -723,7 +651,7 @@ def map_cells(
 
     Builds the exact configurations the serial :func:`run_cell` loop
     would build (``scale.base_config(scheduler=..., erp=...)`` with the
-    seed overridden), fans cache misses out over the pool, and returns
+    seed overridden), fans store misses out over the pool, and returns
     the summaries keyed by ``(scheduler, erp, seed)``.  Grid order is
     preserved internally so a downstream reassembly that walks
     ``sweep_grid`` order is bit-identical to the serial sweep.
@@ -731,6 +659,6 @@ def map_cells(
     keys, configs = grid_configs(scale, schedulers, erps, **overrides)
     summaries = map_configs(
         configs, jobs=jobs, instruments=instruments, spans=spans,
-        postmortem_dir=postmortem_dir, warm=warm, store=store,
+        postmortem_dir=postmortem_dir, store=store,
     )
     return dict(zip(keys, summaries))

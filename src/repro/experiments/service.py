@@ -18,7 +18,7 @@ line, answered by one or more response lines:
 * ``{"op": "submit_grid", "days": D, "seeds": [...], "schedulers":
   [...], "erps": [...], "overrides": {...}}`` → a stream of
   ``{"cell": i, "key": [scheduler, erp, seed], "source":
-  "cache"|"store"|"run", "summary": {...}}`` lines in completion
+  "store"|"run"|"batch", "summary": {...}}`` lines in completion
   order, terminated by ``{"done": true, "cells": N, "sources": {...}}``
 * ``{"op": "submit", "configs": [<config dict>, ...]}`` — same stream
   for explicit configuration dicts (:mod:`repro.sim.serialization`)
@@ -30,9 +30,7 @@ Determinism: the stream arrives in completion order, but every cell
 carries its grid index, and the client reassembles
 ``results()`` in canonical grid order — so a served sweep is
 byte-identical to the serial executor (floats survive the JSON hop
-exactly: ``repr`` round-trips float64).  Summary payloads are small;
-the zero-copy shipping happens on the service's *pool* boundary, not
-on the client socket.
+exactly: ``repr`` round-trips float64).
 
 Connections are handled sequentially (one grid at a time keeps the
 pool undivided); between connections the service reaps an idle pool.
@@ -101,7 +99,6 @@ class SweepService:
         self,
         socket_path,
         jobs: Optional[int] = None,
-        warm: bool = True,
         store: Optional[ResultStore] = None,
         store_dir=None,
         idle_timeout_s: Optional[float] = None,
@@ -115,7 +112,6 @@ class SweepService:
         self.jobs = default_jobs() if jobs is None else int(jobs)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.warm = bool(warm)
         self.idle_timeout_s = idle_timeout_s
         self.postmortem_dir = None if postmortem_dir is None else Path(postmortem_dir)
 
@@ -177,12 +173,11 @@ class SweepService:
                 sample_fn=self._sample,
                 interval_s=live_interval_s,
             )
-            if self.warm:
-                # Arm worker stat streaming before any worker spawns so
-                # every worker's replies carry instrument deltas.
-                from .pool import get_warm_pool
+            # Arm worker stat streaming before any worker spawns so
+            # every worker's replies carry instrument deltas.
+            from .pool import get_warm_pool
 
-                get_warm_pool(self.jobs).attach_bus(self.bus)
+            get_warm_pool(self.jobs).attach_bus(self.bus)
 
     # -- lifecycle ----------------------------------------------------
 
@@ -321,7 +316,6 @@ class SweepService:
 
         out: Dict[str, Any] = {
             "jobs": self.jobs,
-            "warm": self.warm,
             "requests_served": self.requests_served,
             "counters": self.instruments.snapshot()["counters"],
         }
@@ -439,7 +433,6 @@ class SweepService:
                 for index, summary, source in iter_configs(
                     configs,
                     jobs=self.jobs,
-                    warm=self.warm,
                     store=self.store,
                     instruments=obs,
                     postmortem_dir=postmortem,

@@ -1,11 +1,10 @@
 """Content-addressed result store for sweep cells.
 
-Where the legacy flat cache (``REPRO_CACHE``,
-:mod:`repro.experiments.cache`) is a per-user scratch directory, the
-:class:`ResultStore` is the durable, shareable layer the sweep service
-is built on: a blob per cell addressed by the PR 3 versioned cache key
-— the SHA-256 of the frozen configuration *plus* the package version
-and git revision (:func:`repro.experiments.cache.config_key`).  Two
+The :class:`ResultStore` is the one result cache of the executor and
+the durable, shareable layer the sweep service is built on: a blob
+per cell addressed by its versioned key — the SHA-256 of the frozen
+configuration *plus* the package version and git revision
+(:func:`repro.experiments.cache.config_key`).  Two
 clients sweeping overlapping grids against one store deduplicate
 automatically: identical ``(config, code)`` pairs map to the same key,
 and ``put`` is a no-op once the blob exists.

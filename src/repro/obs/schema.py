@@ -85,7 +85,6 @@ POOL_STATS = StatsSchema(
         StatField("respawns", "workers replaced after a crash"),
         StatField("reaps", "workers retired by idle reaping"),
         StatField("tasks", "tasks completed by the pool"),
-        StatField("shm_bytes", "result bytes shipped via shared memory"),
     ],
 )
 
@@ -107,7 +106,6 @@ STORE_STATS = StatsSchema(
 #: embeds the store's describe() which includes STORE_STATS keys.)
 SERVICE_DESCRIBE_KEYS: Tuple[str, ...] = (
     "jobs",
-    "warm",
     "requests_served",
     "counters",
 )

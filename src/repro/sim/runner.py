@@ -2,16 +2,13 @@
 
 The experiment drivers (``repro.experiments``) and the benchmark suite
 go through these functions so every figure is produced by the same code
-path.  Seed fan-out can run across processes (``processes > 1``) —
-configurations and summaries are plain frozen dataclasses, so they
-cross process boundaries for free.
+path.  Everything here runs in-process; parallel fan-out across worker
+processes is the executor's job (:mod:`repro.experiments.executor`).
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -135,46 +132,16 @@ def run_batch(
     return out  # type: ignore[return-value]
 
 
-def default_processes() -> int:
-    """Worker count for parallel seed fan-out.
-
-    Honors the ``REPRO_PROCS`` environment variable; ``1`` (serial) by
-    default so library users opt in explicitly.
-    """
-    value = os.environ.get("REPRO_PROCS", "1")
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise ValueError(f"REPRO_PROCS must be an integer, got {value!r}") from exc
-    if n < 1:
-        raise ValueError("REPRO_PROCS must be >= 1")
-    return n
-
-
 def run_seeds(
-    config: SimulationConfig,
-    seeds: Sequence[int],
-    processes: Optional[int] = None,
+    config: SimulationConfig, seeds: Sequence[int]
 ) -> List[SimulationSummary]:
-    """Run the same configuration under several seeds.
+    """Run the same configuration under several seeds, serially and
+    in-process; results come back in ``seeds`` order.
 
-    Args:
-        config: the base configuration (its ``seed`` is overridden).
-        seeds: seeds to run; results come back in this order.
-        processes: worker processes.  ``None`` consults
-            :func:`default_processes`; ``1`` runs serially in-process.
+    For parallel seed fan-out use
+    ``repro.experiments.executor.map_configs(configs, jobs=N)``.
     """
-    configs = [config.with_overrides(seed=s) for s in seeds]
-    n_procs = default_processes() if processes is None else processes
-    if n_procs < 1:
-        raise ValueError("processes must be >= 1")
-    if n_procs == 1 or len(configs) <= 1:
-        return [run_simulation(c) for c in configs]
-    # Prefer fork (cheap, and robust for REPL/stdin callers); fall back
-    # to spawn on platforms without it.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(min(n_procs, len(configs))) as pool:
-        return pool.map(run_simulation, configs)
+    return [run_simulation(config.with_overrides(seed=s)) for s in seeds]
 
 
 def _make_blackbox(blackbox) -> Optional[BlackBoxRecorder]:

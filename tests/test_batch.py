@@ -30,7 +30,7 @@ from repro.experiments.executor import (
     iter_configs,
     map_configs,
 )
-from repro.experiments.pool import get_warm_pool, shm_available, shutdown_warm_pool
+from repro.experiments.pool import get_warm_pool
 from repro.experiments.store import ResultStore
 from repro.sim.batch import BatchedEngine, batchable_config, shape_signature
 from repro.sim.config import SimulationConfig
@@ -59,8 +59,7 @@ def small(**overrides) -> SimulationConfig:
 
 _KNOBS = (
     "REPRO_SOA", "REPRO_DEBUG_SOA", "REPRO_BATCH", "REPRO_DEBUG_BATCH",
-    "REPRO_BATCH_SIZE", "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL",
-    "REPRO_SHM", "REPRO_START_METHOD", "REPRO_JOBS", "REPRO_PROCS",
+    "REPRO_BATCH_SIZE", "REPRO_STORE", "REPRO_START_METHOD", "REPRO_JOBS",
 )
 
 
@@ -75,11 +74,9 @@ def clean_env(monkeypatch):
     """
     for var in _KNOBS:
         monkeypatch.delenv(var, raising=False)
-    shutdown_warm_pool()
     yield
     for var in _KNOBS:
         os.environ.pop(var, None)
-    shutdown_warm_pool()
 
 
 @contextlib.contextmanager
@@ -388,15 +385,13 @@ class TestExecutorBatching:
     def test_warm_pool_counts_cells_not_chunks(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_SIZE", "2")
-        if not shm_available():
-            monkeypatch.setenv("REPRO_SHM", "0")
         configs = [small(seed=s) for s in range(4)]
         serial = [run_simulation(c) for c in configs]
-        pooled = map_configs(configs, jobs=2, warm=True)
+        pooled = map_configs(configs, jobs=2)
         assert [p.as_dict() for p in pooled] == [s.as_dict() for s in serial]
         pool = get_warm_pool(2)
         assert pool.stats["tasks"] == 4  # 4 cells, not 2 chunks
-        again = map_configs(configs, jobs=2, warm=True)
+        again = map_configs(configs, jobs=2)
         assert [a.as_dict() for a in again] == [s.as_dict() for s in serial]
         assert pool.stats["tasks"] == 8
         assert pool.stats["warm_hits"] >= 4

@@ -1,15 +1,13 @@
-"""Tests for the opt-in experiment results cache."""
+"""Store keys, summary decoding, and cells served from the result
+store named by ``REPRO_STORE``."""
 
 import json
 
+import pytest
 
-from repro.experiments.cache import (
-    cache_dir,
-    cached_run,
-    cached_run_seeds,
-    config_key,
-    summary_from_dict,
-)
+from repro.experiments.cache import config_key, summary_from_dict
+from repro.experiments.executor import _TASK_FNS, map_configs
+from repro.obs import Instruments
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
 
@@ -58,53 +56,84 @@ class TestSummaryRoundtrip:
         assert isinstance(rebuilt.n_recharges, int)
 
 
+def _blobs(root):
+    return sorted((root / "objects").glob("*/*.json"))
+
+
+def _no_rerun(config):
+    raise AssertionError("a store hit re-ran the simulation")
+
+
 class TestCachedRun:
-    def test_disabled_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert cache_dir() is None
-        s = cached_run(quick_cfg())
+    """The executor serves repeated cells from ``REPRO_STORE``."""
+
+    @pytest.fixture(autouse=True)
+    def _serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+    def test_disabled_without_env(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (s,) = map_configs([quick_cfg()])
         assert s.sim_time_s > 0
+        assert not list(tmp_path.iterdir())  # nothing materialized
 
     def test_hit_returns_identical(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        first = cached_run(quick_cfg())
-        assert len(list(tmp_path.glob("*.json"))) == 1
-        second = cached_run(quick_cfg())
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        first = map_configs([quick_cfg()])
+        assert len(_blobs(tmp_path)) == 1
+        second = map_configs([quick_cfg()])
         assert second == first
 
     def test_hit_skips_execution(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        first = map_configs([quick_cfg()])
+        monkeypatch.setitem(_TASK_FNS, "run", _no_rerun)
+        assert map_configs([quick_cfg()]) == first
+
+    def test_hand_edited_entry_is_recomputed_not_served(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         cfg = quick_cfg()
-        cached_run(cfg)
-        # Poison the cache entry: if the second call re-ran, it would
-        # not see the sentinel value.
-        path = next(tmp_path.glob("*.json"))
-        data = json.loads(path.read_text())
-        data["traveling_distance_m"] = 123456.0
-        path.write_text(json.dumps(data))
-        assert cached_run(cfg).traveling_distance_m == 123456.0
+        (first,) = map_configs([cfg])
+        (path,) = _blobs(tmp_path)
+        blob = json.loads(path.read_text())
+        blob["summary"]["traveling_distance_m"] = 123456.0
+        path.write_text(json.dumps(blob))
+        obs = Instruments()
+        (again,) = map_configs([cfg], instruments=obs)
+        assert again == first
+        assert obs.snapshot()["counters"]["executor.cache_misses"] == 1
+        # The edited blob was quarantined and replaced by the true cell.
+        (path,) = _blobs(tmp_path)
+        stored = json.loads(path.read_text())["summary"]
+        assert stored["traveling_distance_m"] == first.traveling_distance_m
 
     def test_seed_fanout_mixed_hits(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         cfg = quick_cfg()
-        first = cached_run_seeds(cfg, [1, 2])
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        first = map_configs([cfg.with_overrides(seed=s) for s in (1, 2)])
+        assert len(_blobs(tmp_path)) == 2
         # Seed 3 is a miss, 1 and 2 hit.
-        out = cached_run_seeds(cfg, [1, 2, 3])
+        obs = Instruments()
+        out = map_configs([cfg.with_overrides(seed=s) for s in (1, 2, 3)], instruments=obs)
         assert len(out) == 3
-        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert len(_blobs(tmp_path)) == 3
         assert out[0] == first[0] and out[1] == first[1]
+        counters = obs.snapshot()["counters"]
+        assert counters["executor.store_hits"] == 2
+        assert counters["executor.cache_misses"] == 1
 
     def test_run_cell_uses_cache(self, monkeypatch, tmp_path):
         from repro.experiments.common import ExperimentScale, run_cell
 
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         scale = ExperimentScale("micro", days=0.2, seeds=(1,))
         kwargs = dict(
             n_sensors=30, n_targets=2, side_length_m=50.0,
             battery_capacity_j=300.0, initial_charge_range=(0.5, 0.8),
         )
         a = run_cell(scale, **kwargs)
-        assert list(tmp_path.glob("*.json"))
+        assert _blobs(tmp_path)
+        monkeypatch.setitem(_TASK_FNS, "run", _no_rerun)
         b = run_cell(scale, **kwargs)
         assert a == b

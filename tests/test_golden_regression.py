@@ -269,7 +269,7 @@ class TestGoldenExecutionMatrix:
     def test_matrix_bit_identical(self, monkeypatch, jobs, vectorize, soa):
         from repro.experiments.executor import map_configs
 
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_VECTORIZE", vectorize)
         monkeypatch.setenv("REPRO_SOA", soa)
         schedulers = ("greedy", "insertion")
@@ -299,7 +299,6 @@ class TestGoldenExecutionMatrix:
         falls back serially) nothing changes either."""
         from repro.experiments.executor import map_configs
 
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_SOA", soa)
         monkeypatch.setenv("REPRO_BATCH", batch)
@@ -323,22 +322,19 @@ class TestGoldenExecutionMatrix:
             )
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_pool_backend_matrix_bit_identical(self, monkeypatch, jobs, warm):
+    def test_pool_backend_matrix_bit_identical(self, monkeypatch, jobs):
         """The warm persistent pool must reproduce the goldens exactly,
-        like the cold per-call pool and the serial loop — pool reuse
-        amortizes cost, never state."""
+        like the serial loop — pool reuse amortizes cost, never state."""
         from repro.experiments.executor import map_configs
         from repro.experiments.pool import shutdown_warm_pool
 
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.delenv("REPRO_STORE", raising=False)
         schedulers = ("greedy", "insertion")
         configs = [
             SimulationConfig(**{**GOLDEN_CONFIG, "scheduler": s}) for s in schedulers
         ]
         try:
-            results = map_configs(configs, jobs=jobs, warm=warm)
+            results = map_configs(configs, jobs=jobs)
         finally:
             shutdown_warm_pool()
         for scheduler, summary in zip(schedulers, results):
@@ -348,7 +344,7 @@ class TestGoldenExecutionMatrix:
                 k: (got[k], expected[k]) for k in expected if got[k] != expected[k]
             }
             assert not mismatches, (
-                f"{scheduler} drifted under jobs={jobs}, warm={warm}: {mismatches}"
+                f"{scheduler} drifted under jobs={jobs}: {mismatches}"
             )
 
 

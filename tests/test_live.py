@@ -22,7 +22,7 @@ import urllib.request
 import pytest
 
 from repro.experiments import ExperimentScale
-from repro.experiments.pool import WarmPool, get_warm_pool, shutdown_warm_pool
+from repro.experiments.pool import WarmPool, get_warm_pool
 from repro.experiments.service import SweepService
 from repro.experiments.store import ResultStore
 from repro.obs import (
@@ -57,13 +57,10 @@ _PROM_SAMPLE_RE = re.compile(
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     for var in (
-        "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL", "REPRO_SHM",
-        "REPRO_START_METHOD", "REPRO_LIVE", "REPRO_LIVE_INTERVAL_S",
+        "REPRO_STORE", "REPRO_START_METHOD", "REPRO_LIVE", "REPRO_LIVE_INTERVAL_S",
         "REPRO_SLO", "REPRO_STRICT_MONITORS",
     ):
         monkeypatch.delenv(var, raising=False)
-    yield
-    shutdown_warm_pool()
 
 
 def _tiny_configs():
@@ -133,7 +130,7 @@ class TestStatsSchema:
 
     def test_service_describe_carries_declared_keys(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc.sock", jobs=1, warm=False,
+            tmp_path / "svc.sock", jobs=1,
             store_dir=tmp_path / "store",
         )
         described = service.describe()
@@ -393,7 +390,7 @@ class TestLiveServer:
 class TestServiceLivePlane:
     def test_null_default_arms_nothing(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc.sock", jobs=1, warm=False,
+            tmp_path / "svc.sock", jobs=1,
             store_dir=tmp_path / "store",
         )
         assert service.bus is None and service.live is None
@@ -401,7 +398,7 @@ class TestServiceLivePlane:
 
     def test_armed_service_reports_health_transitions(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc.sock", jobs=2, warm=True,
+            tmp_path / "svc.sock", jobs=2,
             store_dir=tmp_path / "store", live_port=0,
         )
         try:
@@ -430,7 +427,7 @@ class TestServiceLivePlane:
 
     def test_healthz_idle_without_pool(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc.sock", jobs=1, warm=False,
+            tmp_path / "svc.sock", jobs=1,
             store_dir=tmp_path / "store", live_port=0,
         )
         try:
@@ -440,7 +437,7 @@ class TestServiceLivePlane:
 
     def test_statusz_shape_and_worker_rows(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc.sock", jobs=2, warm=True,
+            tmp_path / "svc.sock", jobs=2,
             store_dir=tmp_path / "store", live_port=0,
             slo="worker.task_s:p99<=60",
         )
@@ -473,7 +470,7 @@ class TestServiceLivePlane:
 
     def test_scraped_totals_match_pool_stats(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc.sock", jobs=2, warm=True,
+            tmp_path / "svc.sock", jobs=2,
             store_dir=tmp_path / "store", live_port=0,
         )
         try:
@@ -503,7 +500,7 @@ class TestTop:
                 "counters": {"executor.cells": 8.0,
                              "executor.cache_misses": 8.0},
                 "pool": {"workers_alive": 2, "tasks": 8, "warm_hits": 4,
-                         "respawns": 1, "shm_bytes": 1024},
+                         "respawns": 1},
                 "store": {"entries": 8, "bytes": 4096, "hits": 0,
                           "misses": 8, "puts": 8},
             },

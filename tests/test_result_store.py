@@ -21,8 +21,7 @@ TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -148,5 +147,4 @@ def test_executor_consults_store(tmp_path, cell):
     snap = obs2.snapshot()["counters"]
     assert snap["executor.store_hits"] == 2
     assert snap["executor.cache_misses"] == 0
-    assert snap["executor.cache_hits"] == 0
     assert [s.as_dict() for s in second] == [s.as_dict() for s in first]

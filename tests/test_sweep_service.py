@@ -30,7 +30,7 @@ ERPS = (0.0, 0.5)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL", "REPRO_JOBS"):
+    for var in ("REPRO_STORE", "REPRO_JOBS"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -39,7 +39,7 @@ def served(tmp_path):
     """A live service on a tmp socket (serial jobs, store enabled)."""
     socket_path = tmp_path / "svc.sock"
     service = SweepService(
-        socket_path, jobs=1, warm=False, store_dir=tmp_path / "store"
+        socket_path, jobs=1, store_dir=tmp_path / "store"
     )
     thread = threading.Thread(target=service.serve_forever, daemon=True)
     thread.start()

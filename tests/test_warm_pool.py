@@ -18,12 +18,7 @@ import pytest
 
 from repro.experiments import ExperimentScale
 from repro.experiments.executor import _TASK_FNS, map_configs
-from repro.experiments.pool import (
-    WarmPool,
-    get_warm_pool,
-    shm_available,
-    shutdown_warm_pool,
-)
+from repro.experiments.pool import WarmPool, get_warm_pool, shutdown_warm_pool
 from repro.obs import Instruments
 
 TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
@@ -31,15 +26,10 @@ TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
 
 @pytest.fixture(autouse=True)
 def _clean_pool_env(monkeypatch):
-    """Isolate every test from ambient pool/cache knobs and make sure
-    no shared pool outlives a test."""
-    for var in (
-        "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL",
-        "REPRO_SHM", "REPRO_START_METHOD",
-    ):
-        monkeypatch.delenv(var, raising=False)
-    yield
-    shutdown_warm_pool()
+    """Isolate every test from an ambient result store.  The start
+    method is left alone, so a run under ``REPRO_START_METHOD=spawn``
+    exercises the spawn path."""
+    monkeypatch.delenv("REPRO_STORE", raising=False)
 
 
 def _tiny_configs():
@@ -50,7 +40,7 @@ def _tiny_configs():
 def test_warm_sweep_byte_identical_to_serial():
     configs = _tiny_configs()
     serial = map_configs(configs, jobs=1)
-    warm = map_configs(configs, jobs=2, warm=True)
+    warm = map_configs(configs, jobs=2)
     assert json.dumps([s.as_dict() for s in warm], sort_keys=True) == json.dumps(
         [s.as_dict() for s in serial], sort_keys=True
     )
@@ -59,10 +49,10 @@ def test_warm_sweep_byte_identical_to_serial():
 def test_pool_survives_across_calls_and_counts_warm_hits():
     configs = _tiny_configs()
     obs = Instruments()
-    map_configs(configs, jobs=2, warm=True)
+    map_configs(configs, jobs=2)
     pool = get_warm_pool(2)
     pids_before = sorted(w.proc.pid for w in pool._workers.values())
-    map_configs(configs, jobs=2, warm=True, instruments=obs)
+    map_configs(configs, jobs=2, instruments=obs)
     assert sorted(w.proc.pid for w in pool._workers.values()) == pids_before
     assert pool.stats["warm_hits"] >= 1
     assert obs.snapshot()["counters"]["pool.warm_hits"] == 1
@@ -76,27 +66,6 @@ def test_ping_and_healthy():
         assert pool.healthy
         assert pool.workers_alive == 2
     assert not pool.healthy
-
-
-def test_shm_shipping_identical_to_pickle_fallback():
-    configs = _tiny_configs()
-    if not shm_available():  # pragma: no cover - env-dependent
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    with WarmPool(jobs=2, use_shm=True) as shm_pool:
-        via_shm = shm_pool.run("run", configs)
-        assert shm_pool.stats["shm_bytes"] > 0
-    with WarmPool(jobs=2, use_shm=False) as pickle_pool:
-        via_pickle = pickle_pool.run("run", configs)
-        assert pickle_pool.stats["shm_bytes"] == 0
-    assert [s.as_dict() for s in via_shm] == [s.as_dict() for s in via_pickle]
-
-
-def test_repro_shm_env_disables_shm(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm_available()
-    monkeypatch.delenv("REPRO_SHM")
-    # default: on whenever the module imports (it does on py3.8+)
-    assert shm_available()
 
 
 def _die_once_then_answer(flag_path):
@@ -159,6 +128,44 @@ def test_get_warm_pool_reuses_and_resizes():
     shutdown_warm_pool()
     assert b._closed
     shutdown_warm_pool()  # idempotent
+
+
+def _read_env(name):
+    """Worker task: the value of ``name`` in the worker's environment."""
+    return os.environ.get(name)
+
+
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="task-table patching needs fork inheritance",
+)
+def test_env_change_replaces_shared_pool(monkeypatch):
+    """Workers keep the environment they were started with, so the
+    shared pool must not outlive a ``REPRO_*`` change in the parent —
+    or an engine knob flipped between two sweeps would silently run
+    the old engine in the workers."""
+    monkeypatch.setitem(_TASK_FNS, "env", _read_env)
+    var = "REPRO_STRICT_MONITORS"
+    monkeypatch.delenv(var, raising=False)
+    first = get_warm_pool(2, start_method="fork")
+    assert first.run("env", [var, var]) == [None, None]
+    monkeypatch.setenv(var, "1")
+    second = get_warm_pool(2, start_method="fork")
+    assert second.run("env", [var, var]) == ["1", "1"]
+    assert second is not first and first._closed
+    assert get_warm_pool(2, start_method="fork") is second  # unchanged env: reused
+
+
+def test_replacement_pool_keeps_attached_bus(monkeypatch):
+    from repro.obs.live import MetricsBus
+
+    bus = MetricsBus()
+    first = get_warm_pool(1)
+    first.attach_bus(bus)
+    monkeypatch.setenv("REPRO_STRICT_MONITORS", "1")
+    second = get_warm_pool(1)
+    assert second is not first
+    assert second._bus is bus
 
 
 def test_closed_pool_rejects_runs():
