@@ -75,43 +75,35 @@ def _batch_per_world(n_sensors: int, batch: int) -> float:
 
 def bench_batch_scaling():
     """Per-world wall clock, serial SoA loop vs lockstep batches."""
-    old = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = "1"  # both legs run the SoA tick kernels
-    try:
-        scale = os.environ.get("REPRO_SCALE", "bench")
-        matrix = _BATCH_MATRIX.get(scale, _BATCH_MATRIX["bench"])
-        _worlds(100, 2, external_tick=False)[0].run()  # warm caches off the clock
-        rows, extra, losses = [], {}, {}
-        for n, batches in matrix.items():
-            t_serial = _serial_per_world(n)
-            extra[f"t_serial_{n}_s"] = t_serial
-            for B in batches:
-                t_batch = _batch_per_world(n, B)
-                speedup = t_serial / t_batch if t_batch > 0 else float("inf")
-                extra[f"t_batch_{n}_b{B}_s"] = t_batch
-                extra[f"speedup_{n}_b{B}x"] = speedup
-                rows.append(
-                    [n, B, round(t_serial, 4), round(t_batch, 4), round(speedup, 2)]
-                )
-                if B >= 8 and speedup <= 1.0:
-                    losses[(n, B)] = round(speedup, 2)
-        table = format_table(
-            ["sensors", "batch", "serial s/world", "batched s/world", "speedup x"],
-            rows,
-            title=f"Batched engine scaling (per-world wall clock, scale={scale})",
-        )
-        emit("batch_scaling", table, extra=extra)
-        assert not losses, (
-            f"batched engine did not beat the serial SoA loop at {losses} "
-            f"(per-world speedup <= 1x at B >= 8)"
-        )
-        headline = extra.get("speedup_100_b64x")
-        assert headline is not None and headline >= _B64_SPEEDUP_MIN, (
-            f"per-world speedup at B=64, n=100 is {headline:.2f}x "
-            f"(< {_B64_SPEEDUP_MIN}x floor)"
-        )
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = old
+    scale = os.environ.get("REPRO_SCALE", "bench")
+    matrix = _BATCH_MATRIX.get(scale, _BATCH_MATRIX["bench"])
+    _worlds(100, 2, external_tick=False)[0].run()  # warm caches off the clock
+    rows, extra, losses = [], {}, {}
+    for n, batches in matrix.items():
+        t_serial = _serial_per_world(n)
+        extra[f"t_serial_{n}_s"] = t_serial
+        for B in batches:
+            t_batch = _batch_per_world(n, B)
+            speedup = t_serial / t_batch if t_batch > 0 else float("inf")
+            extra[f"t_batch_{n}_b{B}_s"] = t_batch
+            extra[f"speedup_{n}_b{B}x"] = speedup
+            rows.append(
+                [n, B, round(t_serial, 4), round(t_batch, 4), round(speedup, 2)]
+            )
+            if B >= 8 and speedup <= 1.0:
+                losses[(n, B)] = round(speedup, 2)
+    table = format_table(
+        ["sensors", "batch", "serial s/world", "batched s/world", "speedup x"],
+        rows,
+        title=f"Batched engine scaling (per-world wall clock, scale={scale})",
+    )
+    emit("batch_scaling", table, extra=extra)
+    assert not losses, (
+        f"batched engine did not beat the serial SoA loop at {losses} "
+        f"(per-world speedup <= 1x at B >= 8)"
+    )
+    headline = extra.get("speedup_100_b64x")
+    assert headline is not None and headline >= _B64_SPEEDUP_MIN, (
+        f"per-world speedup at B=64, n=100 is {headline:.2f}x "
+        f"(< {_B64_SPEEDUP_MIN}x floor)"
+    )

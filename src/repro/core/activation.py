@@ -14,13 +14,13 @@ Both expose the same interface so the simulation world can swap them:
 ``active_sensor_per_cluster`` (who covers each target right now) and
 ``active_mask`` (who burns active-sensing power).
 
-These per-cluster Python loops are the **retained bit-exact
-reference** for the structure-of-arrays twins in
-:mod:`repro.sim.soa` (``SoARoundRobinActivator`` /
-``SoAFullTimeActivator``).  ``REPRO_SOA=0`` runs them directly;
-``REPRO_DEBUG_SOA=1`` runs them in shadow beside the array kernels and
-asserts equality per call.  Changes to the rotation semantics here
-must be mirrored there.
+Worlds run the structure-of-arrays twins of these two schemes
+(:mod:`repro.sim.soa`: ``SoARoundRobinActivator`` /
+``SoAFullTimeActivator``).  The per-cluster Python loops here are what
+the registry builds, what plugin activators subclass (a subclass runs
+unwrapped, on these loops), and what the kernel parity tests compare
+the twins against.  Changes to the rotation semantics here must be
+mirrored there.
 """
 
 from __future__ import annotations

@@ -77,10 +77,10 @@ class EnergyRequestController:
     :class:`repro.sim.components.gate.RequestGate` — keeps that mask;
     a sensor leaves it when an RV refills it).
 
-    The per-cluster loop in :meth:`nodes_to_release` is the **retained
-    bit-exact reference** for the array scan
-    (:func:`repro.sim.soa.erc_release_scan`) the SoA tick engine uses;
-    subclasses that override it automatically get this reference path.
+    The per-cluster loop in :meth:`nodes_to_release` is bit-exact to
+    the array scan (:func:`repro.sim.soa.erc_release_scan`) the tick
+    engine runs for this class; a subclass that overrides it keeps its
+    own code, so an override that calls ``super()`` runs this loop.
     """
 
     def __init__(self, erp: float) -> None:

@@ -18,7 +18,7 @@ loop (``np.hypot`` is sign-insensitive, elementwise ufuncs carry no
 reduction-order freedom, and ties resolve to the lowest index on both
 sides), so fixed-seed goldens do not move when the knob flips.
 
-Knobs (the same pattern as ``REPRO_SOA`` in :mod:`repro.sim.soa`):
+Knobs:
 
 * ``REPRO_VECTORIZE=0`` — run the reference loops everywhere.
 * ``REPRO_DEBUG_VECTORIZE=1`` — run *both* paths on every kernel call

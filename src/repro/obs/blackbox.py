@@ -87,8 +87,8 @@ def digest_array(value: Any) -> str:
     """SHA-256 over an array's dtype, shape and raw bytes.
 
     Two arrays share a digest iff they are bit-identical with the same
-    dtype and shape — the equality surface of the SoA/reference engine
-    contract, collapsed to one comparable string.
+    dtype and shape — the equality surface that replay and the pinned
+    state digests compare, collapsed to one comparable string.
     """
     a = np.ascontiguousarray(value)
     h = hashlib.sha256()
@@ -584,11 +584,9 @@ def format_postmortem(
                 f"Span tree ({len(spans)} span(s)):\n" + render_span_tree(spans)
             )
 
-    replay_hint = (
-        f"Replay: repro replay {bundle.path} --to-tick "
-        f"{m.get('last_seq', 0)} [--engine soa|ref]"
+    blocks.append(
+        f"Replay: repro replay {bundle.path} --to-tick {m.get('last_seq', 0)}"
     )
-    blocks.append(replay_hint)
     return "\n\n".join(blocks)
 
 

@@ -16,8 +16,8 @@ Exactness contract
 ------------------
 
 Each world in a batch produces **bit-identical** trajectories to the
-serial SoA engine.  The construction mirrors the SoA one (the
-``REPRO_SOA`` pattern, one level up):
+serial SoA engine.  The construction mirrors the serial one, one level
+up:
 
 * every component buffer a batched kernel writes (``bank.levels_j``,
   ``state.requested``, ``energy.rates``, ``energy.active``,
@@ -35,7 +35,7 @@ serial SoA engine.  The construction mirrors the SoA one (the
   signature*, :func:`shape_signature`), which makes every physical
   scalar (tick, capacity, thresholds, power model) a batch constant.
 
-Knobs (the ``REPRO_SOA`` pattern):
+Knobs:
 
 * ``REPRO_BATCH=1`` — opt in: ``runner.run_batch`` and the experiment
   executor group compatible cells into shape-batches.
@@ -64,7 +64,6 @@ from .soa import (
     SoAFullTimeActivator,
     SoARoundRobinActivator,
     debug_batch,
-    debug_soa,
     relay_accumulate,
 )
 from .world import _FULL_DIGEST_EVERY, World
@@ -106,7 +105,6 @@ def batchable_config(config: SimulationConfig) -> bool:
         config.n_sensors > 0
         and config.tick_s > 0
         and config.self_discharge_fraction_per_day == 0
-        and not debug_soa()
     )
 
 
@@ -114,13 +112,9 @@ def _batchable_world(world: World) -> Optional[str]:
     """None if ``world`` can run under the batched kernels, else the
     reason it cannot (the caller falls back to ``world.run()``)."""
     s = world.state
-    if s.arrays is None:
-        return "SoA arrays disabled (REPRO_SOA=0)"
     if type(s.activator) not in (SoARoundRobinActivator, SoAFullTimeActivator):
         return f"plugin activator {type(s.activator).__name__}"
-    if getattr(s.activator, "_shadow", None) is not None:
-        return "REPRO_DEBUG_SOA shadow activator"
-    if not world.gate.soa:
+    if not world.gate.array_scan:
         return "ERC policy overrides nodes_to_release"
     if s.trace.enabled:
         return "semantic trace recorder attached"
@@ -261,8 +255,8 @@ class BatchedStateArrays:
         After this, world ``b``'s serial event path (dispatch, RV
         arrivals, relocations) and the batched tick kernels share
         memory; :mod:`repro.sim.components.energy` refreshes these
-        buffers in place (never rebinding) under the SoA engine, which
-        is what keeps the views alive across recomputes.
+        buffers in place (never rebinding), which is what keeps the
+        views alive across recomputes.
         """
         for b, w in enumerate(self.worlds):
             s = w.state

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..soa import debug_soa, relay_accumulate, relay_levels
+from ..soa import relay_accumulate, relay_levels
 from ..trace import EventKind
 from .state import SimulationState
 
@@ -67,18 +67,12 @@ class EnergyAccounting:
             "notifications": 0.0,
         }
         self._connected = np.isfinite(state.routing.dist[:n])
-        # -- SoA tick engine ----------------------------------------------
         # Level-order schedule for the vectorized relay accumulation
         # (computed once; the routing tree is static) and the scratch
         # array reused by every battery advance.
-        self.soa = state.arrays is not None
-        self._debug_soa = debug_soa()
-        self._relay_levels = (
-            relay_levels(state.routing.parent, state.routing.dist, state.routing.base, n)
-            if self.soa
-            else None
-        )
-        self._drain_scratch = state.arrays.drain_scratch if self.soa else None
+        routing = state.routing
+        self._relay_levels = relay_levels(routing.parent, routing.dist, routing.base, n)
+        self._drain_scratch = state.arrays.drain_scratch
         obs = state.instruments
         self._t_recompute = obs.timer("energy.recompute")
         self._t_advance = obs.timer("energy.advance")
@@ -103,38 +97,20 @@ class EnergyAccounting:
         alive = s.bank.alive_mask()
         active = s.activator.active_mask(alive)
         n = s.cfg.n_sensors
-        if self.soa:
-            # Keep one stable rates buffer: the SoA arrays alias it, and
-            # the steady-state full pass then allocates no fresh vector.
-            rates = self.rates
-            rates.fill(0.0)
-        else:
-            rates = np.zeros(n, dtype=np.float64)
+        # One stable rates buffer: the SoA arrays alias it, and the
+        # steady-state full pass then allocates no fresh vector.
+        rates = self.rates
+        rates.fill(0.0)
         rates[alive] = power.idle_power_w
         rates[active] += power.active_sensing_power_w
         # Relay load: push each active origin's packet count down the
-        # routing tree (farthest vertex first), skipping dead relays'
-        # consumption (they can't forward).  Counts stay integer, so the
-        # SoA level-order accumulation commutes bit-exactly with this
-        # walk.
+        # routing tree level by level, deepest first, skipping dead
+        # relays' consumption (they can't forward).  Counts stay
+        # integer, so the accumulation order cannot change the result.
         cnt = np.zeros(n + 1, dtype=np.int64)
         origins = active & self._connected
         cnt[:n][origins] = 1
-        parent = s.routing.parent
-        base = s.routing.base
-        if self.soa:
-            relay_accumulate(cnt, parent, self._relay_levels)
-            if self._debug_soa:
-                self._assert_relay_matches_walk(cnt, origins)
-        else:
-            # Retained reference walk (REPRO_SOA=0): the executable
-            # specification of the accumulation above.
-            for v in s.traffic_order:
-                if v == base or cnt[v] == 0:
-                    continue
-                p = parent[v]
-                if p >= 0:
-                    cnt[p] += cnt[v]
+        relay_accumulate(cnt, s.routing.parent, self._relay_levels)
         relay = (cnt[:n] - origins).astype(np.float64) * power.packet_rate_hz
         relay_w = np.where(alive, relay * self._per_packet_relay_j * s.uplink_etx, 0.0)
         rates += relay_w
@@ -148,46 +124,18 @@ class EnergyAccounting:
             rates += leak_w
             leak_total = float(leak_w.sum())
         rates[~alive] = 0.0
-        if self.soa:
-            # Batched-engine contract: under the SoA engine these
-            # buffers may be bound as row views into a (B, n) stack
-            # (see repro.sim.batch), so refresh them in place instead
-            # of rebinding to the fresh arrays — values are identical.
-            self.active[...] = active
-            self.s.arrays.rates_w = self.rates
-            self.s.arrays.active = self.active
-        else:
-            self.rates = rates
-            self.active = active
+        # Batched-engine contract: these buffers may be bound as row
+        # views into a (B, n) stack (see repro.sim.batch), so refresh
+        # them in place instead of rebinding.
+        self.active[...] = active
+        s.arrays.rates_w = self.rates
+        s.arrays.active = self.active
         self._category_watts = {
             "idle": float(np.count_nonzero(alive)) * power.idle_power_w,
             "sensing": float(np.count_nonzero(active)) * power.active_sensing_power_w,
             "relay": float(relay_w.sum()),
             "leakage": leak_total,
         }
-
-    def _assert_relay_matches_walk(self, cnt: np.ndarray, origins: np.ndarray) -> None:
-        """``REPRO_DEBUG_SOA``: the level-order accumulation must equal
-        the reference farthest-first walk, count for count."""
-        s = self.s
-        n = s.cfg.n_sensors
-        ref = np.zeros(n + 1, dtype=np.int64)
-        ref[:n][origins] = 1
-        parent = s.routing.parent
-        base = s.routing.base
-        for v in s.traffic_order:
-            if v == base or ref[v] == 0:
-                continue
-            p = parent[v]
-            if p >= 0:
-                ref[p] += ref[v]
-        if not np.array_equal(cnt, ref):
-            diff = np.flatnonzero(cnt != ref)
-            raise AssertionError(
-                "SoA relay accumulation diverged from the reference walk "
-                f"(REPRO_DEBUG_SOA; vertices {diff[:10].tolist()}); "
-                "please report this"
-            )
 
     def advance(self) -> None:
         """Drain batteries for the elapsed interval; handle depletions."""

@@ -15,8 +15,6 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from ...core import kernels
 from ...core.scheduling import RVView, Scheduler
 from ...mobility.vehicles import RechargingVehicle
@@ -68,16 +66,13 @@ class FleetController:
             for i in range(cfg.n_rvs)
         ]
         self.a = state.arrays
-        if self.a is not None:
-            # Under the SoA engine the returning flags ARE the array —
-            # one buffer, two names — and every observable RV change is
-            # written through to the per-RV block (rv_pos / rv_level_j
-            # / rv_busy) so array readers never see a stale fleet.
-            self.returning = self.a.rv_returning
-            for rv in self.rvs:
-                self._sync_rv(rv)
-        else:
-            self.returning = np.zeros(cfg.n_rvs, dtype=bool)
+        # The returning flags ARE the array — one buffer, two names — and
+        # every observable RV change is written through to the per-RV
+        # block (rv_pos / rv_level_j / rv_busy) so array readers never
+        # see a stale fleet.
+        self.returning = self.a.rv_returning
+        for rv in self.rvs:
+            self._sync_rv(rv)
         obs = state.instruments
         self._sp = state.spans
         self._t_dispatch = obs.timer("fleet.dispatch")
@@ -100,8 +95,6 @@ class FleetController:
     def _sync_rv(self, rv: RechargingVehicle) -> None:
         """Write-through one RV's observable state into the SoA block."""
         a = self.a
-        if a is None:
-            return
         a.rv_pos[rv.rv_id] = rv.position
         a.rv_level_j[rv.rv_id] = rv.battery.level_j
         a.rv_busy[rv.rv_id] = rv.busy

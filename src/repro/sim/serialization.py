@@ -108,11 +108,9 @@ def snapshot_arrays(state) -> Dict[str, np.ndarray]:
     """A flat-array snapshot of one :class:`SimulationState`.
 
     Every array is copied out of the live state, so two snapshots can
-    be compared field-by-field (``np.array_equal``) regardless of which
-    tick engine produced them — the SoA/reference equivalence tests
-    assert bit-equality of exactly this dict.  Works with or without
-    ``state.arrays``: the canonical buffers are the source of truth
-    either way.
+    be compared field-by-field (``np.array_equal``); replay records and
+    the pinned trajectory tests digest exactly this dict.  The
+    canonical buffers are the source of truth.
     """
     alive = state.bank.alive_mask()
     snap: Dict[str, np.ndarray] = {

@@ -30,20 +30,15 @@ Layout
 Exactness contract
 ------------------
 
-Every kernel here selects the *same indices* with the same tie-breaks
-as the retained object-walking reference (``repro.core.activation``,
-``repro.core.erc``, the ``traffic_order`` relay walk in
-``repro.sim.components.energy``), and then performs the identical
-IEEE-754 arithmetic per element.  Relay packet counts are integers, so
-the level-order tree accumulation commutes bit-exactly with the
-reference's farthest-first walk.  Fixed-seed goldens therefore do not
-move when the knob flips.
-
-Knobs (the ``REPRO_VECTORIZE`` pattern):
-
-* ``REPRO_SOA=0`` — run the object-walking reference everywhere.
-* ``REPRO_DEBUG_SOA=1`` — shadow mode: run *both* paths on every tick
-  step and raise on the first divergence (bit-exact comparison).
+This is the only serial tick engine; every world builds a
+:class:`StateArrays`.  Each kernel selects the *same indices* with the
+same tie-breaks as the object-walking loops in
+``repro.core.activation`` and ``repro.core.erc`` (which plugins
+subclass and the kernel parity tests compare against), and then
+performs the identical IEEE-754 arithmetic per element.  Relay packet
+counts are integers, so the level-order tree accumulation equals a
+farthest-first walk count for count.  Fixed-seed goldens pin the
+result.
 """
 
 from __future__ import annotations
@@ -62,25 +57,14 @@ __all__ = [
     "SoARoundRobinActivator",
     "batch_enabled",
     "debug_batch",
-    "debug_soa",
+    "engine_provenance",
     "erc_release_scan",
     "first_alive_slots",
     "pack_clusters",
     "relay_levels",
     "relay_accumulate",
-    "soa_enabled",
     "wrap_activator",
 ]
-
-
-def soa_enabled() -> bool:
-    """The ``REPRO_SOA`` opt-out (default: enabled)."""
-    return os.environ.get("REPRO_SOA", "1") not in ("0", "false", "no")
-
-
-def debug_soa() -> bool:
-    """``REPRO_DEBUG_SOA=1``: run both engines, assert bit-equality."""
-    return os.environ.get("REPRO_DEBUG_SOA", "") not in ("", "0")
 
 
 def batch_enabled() -> bool:
@@ -96,17 +80,16 @@ def debug_batch() -> bool:
 
 
 def engine_provenance() -> dict:
-    """Which engine knobs are live — recorded in run manifests so a
-    drift report can say which engine produced each run."""
+    """Which engine knobs shape a serial world's run — recorded in run
+    manifests so a drift report can say how each run was produced.
+
+    Every writer of this dict (telemetry runs, postmortem bundles,
+    replays) runs one serial :class:`~repro.sim.world.World`, so the
+    batched-engine knobs are not part of it.
+    """
     from ..core.kernels import vectorize_enabled
 
-    return {
-        "soa": soa_enabled(),
-        "soa_debug": debug_soa(),
-        "vectorize": vectorize_enabled(),
-        "batch": batch_enabled(),
-        "batch_debug": debug_batch(),
-    }
+    return {"vectorize": vectorize_enabled()}
 
 
 class StateArrays:
@@ -282,9 +265,7 @@ class SoARoundRobinActivator:
 
     All per-cluster state lives in the ``(members, sizes, ptr)`` block
     of a :class:`StateArrays`; every query is a masked reduction over
-    the padded member matrix.  With ``REPRO_DEBUG_SOA=1`` a shadow
-    reference activator runs beside it and every result is compared
-    bit-for-bit per tick.
+    the padded member matrix.
     """
 
     rotates = True
@@ -294,7 +275,6 @@ class SoARoundRobinActivator:
         self.a = arrays
         if arrays.cluster_id is not cluster_set.membership:
             pack_clusters(cluster_set, arrays)  # not pre-packed by the caller
-        self._shadow = RoundRobinActivator(cluster_set) if debug_soa() else None
         # Memoized active_sensor_per_cluster: the answer is a pure
         # function of (members, sizes, ptr, alive) — members/sizes only
         # change on a rebuild (fresh activator), ptr only in rotate()
@@ -307,33 +287,20 @@ class SoARoundRobinActivator:
 
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
         a = self.a
-        if (
-            self._shadow is None
-            and self._actives is not None
-            and np.array_equal(alive, self._actives_alive)
-        ):
+        if self._actives is not None and np.array_equal(alive, self._actives_alive):
             return self._actives
         slots = first_alive_slots(
             a.members, a.sizes, a.ptr, alive, scratch=a._cluster_scratch
         )
         out = _members_at(a.members, slots, scratch=a._cluster_scratch)
-        if self._shadow is not None:
-            _shadow_compare(
-                "active_sensor_per_cluster",
-                out,
-                self._shadow.active_sensor_per_cluster(alive),
-            )
-        else:
-            self._actives = out
-            self._actives_alive = alive.copy()
+        self._actives = out
+        self._actives_alive = alive.copy()
         return out
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
         mask = np.zeros(self.cluster_set.n_sensors, dtype=bool)
         actives = self.active_sensor_per_cluster(alive)
         mask[actives[actives >= 0]] = True
-        if self._shadow is not None:
-            _shadow_compare("active_mask", mask, self._shadow.active_mask(alive))
         return mask
 
     def covered_mask(self, alive: np.ndarray) -> np.ndarray:
@@ -378,19 +345,14 @@ class SoARoundRobinActivator:
             )
         else:
             handoffs = np.empty((0, 2), dtype=np.int64)
-        if self._shadow is not None:
-            ref = self._shadow.rotate(alive)
-            _shadow_compare("rotate.handoffs", handoffs, ref)
-            _shadow_compare("rotate.ptr", a.ptr, self._shadow._ptr)
-        else:
-            # Refresh the memo for the alive mask just rotated under:
-            # live clusters now point at their (alive) duty holder.
-            self._actives = _members_at(
-                a.members,
-                np.where(live, a.ptr, -1),
-                scratch=a._cluster_scratch,
-            )
-            self._actives_alive = alive.copy()
+        # Refresh the memo for the alive mask just rotated under: live
+        # clusters now point at their (alive) duty holder.
+        self._actives = _members_at(
+            a.members,
+            np.where(live, a.ptr, -1),
+            scratch=a._cluster_scratch,
+        )
+        self._actives_alive = alive.copy()
         return handoffs
 
 
@@ -405,7 +367,6 @@ class SoAFullTimeActivator:
         self.a = arrays
         if arrays.cluster_id is not cluster_set.membership:
             pack_clusters(cluster_set, arrays)  # not pre-packed by the caller
-        self._shadow = FullTimeActivator(cluster_set) if debug_soa() else None
         # Same memo as the round-robin twin, minus the rotation hook:
         # full-time duty has no pointer, so (members, alive) is the
         # whole dependency set.
@@ -417,11 +378,7 @@ class SoAFullTimeActivator:
 
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
         a = self.a
-        if (
-            self._shadow is None
-            and self._actives is not None
-            and np.array_equal(alive, self._actives_alive)
-        ):
+        if self._actives is not None and np.array_equal(alive, self._actives_alive):
             return self._actives
         zeros = np.zeros(len(a.sizes), dtype=np.int64)
         out = _members_at(
@@ -431,15 +388,8 @@ class SoAFullTimeActivator:
             ),
             scratch=a._cluster_scratch,
         )
-        if self._shadow is not None:
-            _shadow_compare(
-                "active_sensor_per_cluster",
-                out,
-                self._shadow.active_sensor_per_cluster(alive),
-            )
-        else:
-            self._actives = out
-            self._actives_alive = alive.copy()
+        self._actives = out
+        self._actives_alive = alive.copy()
         return out
 
     def covered_mask(self, alive: np.ndarray) -> np.ndarray:
@@ -447,16 +397,6 @@ class SoAFullTimeActivator:
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
-
-
-def _shadow_compare(label: str, soa, ref) -> None:
-    """``REPRO_DEBUG_SOA``: the array result must equal the reference."""
-    if not np.array_equal(np.asarray(soa), np.asarray(ref)):
-        raise AssertionError(
-            f"SoA tick engine diverged from the object-walking reference "
-            f"on {label!r} (REPRO_DEBUG_SOA): {soa!r} != {ref!r}; "
-            f"please report this"
-        )
 
 
 def _members_at(members: np.ndarray, slots: np.ndarray, scratch=None) -> np.ndarray:
@@ -472,16 +412,15 @@ def _members_at(members: np.ndarray, slots: np.ndarray, scratch=None) -> np.ndar
     return np.where(slots >= 0, picked, -1)
 
 
-def wrap_activator(activator, arrays: Optional[StateArrays]):
-    """Swap a freshly built reference activator for its SoA equivalent.
+def wrap_activator(activator, arrays: StateArrays):
+    """Swap a freshly built core activator for its array twin.
 
     Only the two built-in schemes have array twins; anything else (a
-    plugin activator) runs its own code unchanged.  Called by the
-    cluster manager on every rebuild, so the rotation state starts from
-    slot 0 exactly like a fresh reference activator.
+    plugin activator, including a subclass of a core scheme) runs its
+    own code unchanged.  Called by the cluster manager on every
+    rebuild, so the rotation state starts from slot 0 exactly like a
+    fresh core activator.
     """
-    if arrays is None:
-        return activator
     if type(activator) is RoundRobinActivator:
         return SoARoundRobinActivator(activator.cluster_set, arrays)
     if type(activator) is FullTimeActivator:
@@ -534,7 +473,7 @@ def erc_release_scan(
 
 def erc_scan_applicable(erc) -> bool:
     """The array scan replays exactly the *base* gate semantics; a
-    policy that overrides ``nodes_to_release`` gets the reference path."""
+    policy that overrides ``nodes_to_release`` runs its own code."""
     return (
         type(erc).nodes_to_release is EnergyRequestController.nodes_to_release
     )
@@ -571,7 +510,7 @@ def relay_accumulate(
 ) -> None:
     """Push integer packet counts down the routing tree, level by level.
 
-    Bit-exact to the reference farthest-first walk: counts are int64,
+    Bit-exact to a farthest-first walk over the tree: counts are int64,
     integer addition is associative, and every vertex's count is final
     before its level is pushed (children sit strictly deeper than their
     parents in a shortest-path tree).  ``cnt`` is modified in place.

@@ -233,13 +233,7 @@ class World:
             "active": s.activator.active_mask(alive),
             "target_positions": s.targets.positions.copy(),
             "cluster_membership": s.cluster_set.membership.copy(),
-            "rv_positions": s.arrays.rv_pos.copy()
-            if s.arrays is not None
-            else (
-                np.vstack([rv.position for rv in self.rvs])
-                if self.rvs
-                else np.empty((0, 2))
-            ),
+            "rv_positions": s.arrays.rv_pos.copy(),
             "pending_requests": s.requests.node_ids,
         }
 

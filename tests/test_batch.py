@@ -14,7 +14,6 @@ Three layers of evidence that ``REPRO_BATCH=1`` is a pure speedup:
   cell results.
 """
 
-import contextlib
 import json
 import os
 import pathlib
@@ -58,8 +57,8 @@ def small(**overrides) -> SimulationConfig:
 
 
 _KNOBS = (
-    "REPRO_SOA", "REPRO_DEBUG_SOA", "REPRO_BATCH", "REPRO_DEBUG_BATCH",
-    "REPRO_BATCH_SIZE", "REPRO_STORE", "REPRO_START_METHOD", "REPRO_JOBS",
+    "REPRO_BATCH", "REPRO_DEBUG_BATCH", "REPRO_BATCH_SIZE", "REPRO_STORE",
+    "REPRO_START_METHOD", "REPRO_JOBS",
 )
 
 
@@ -79,21 +78,6 @@ def clean_env(monkeypatch):
         os.environ.pop(var, None)
 
 
-@contextlib.contextmanager
-def batch_env(**env):
-    """Set env knobs for the block (hypothesis-safe: no fixture)."""
-    old = {k: os.environ.get(k) for k in env}
-    os.environ.update({k: v for k, v in env.items() if v is not None})
-    try:
-        yield
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 class TestKnobs:
     def test_default_off(self, monkeypatch):
         assert not batch_enabled()
@@ -105,11 +89,13 @@ class TestKnobs:
         assert batch_enabled()
         assert debug_batch()
 
-    def test_engine_provenance_records_batch(self, monkeypatch):
+    def test_engine_provenance_ignores_batch_knobs(self, monkeypatch):
+        # Every provenance writer runs one serial world, so the batched
+        # engine's knobs must not show up as if they had applied.
         monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_DEBUG_BATCH", "1")
         prov = engine_provenance()
-        assert prov["batch"] is True
-        assert prov["batch_debug"] is False
+        assert "batch" not in prov and "batch_debug" not in prov
 
     def test_default_batch_size(self, monkeypatch):
         assert default_batch_size() == 16
@@ -140,11 +126,9 @@ class TestShapeSignature:
         assert shape_signature(small(tick_s=300.0)) != shape_signature(base)
         assert shape_signature(small(n_rvs=3)) != shape_signature(base)
 
-    def test_batchable_config_gates(self, monkeypatch):
+    def test_batchable_config_gates(self):
         assert batchable_config(small())
         assert not batchable_config(small(self_discharge_fraction_per_day=0.01))
-        monkeypatch.setenv("REPRO_DEBUG_SOA", "1")
-        assert not batchable_config(small())
 
     def test_engine_rejects_leaky_world(self):
         # The batched kernels price no leakage, so the engine itself
@@ -219,13 +203,12 @@ class TestBatchedVsSingleProperty:
                 max_size=32,
             )
         )
-        with batch_env(REPRO_SOA=None, REPRO_DEBUG_SOA=None):
-            configs = [
-                small(seed=seed, sim_time_s=ticks * SMALL_CONFIG["tick_s"])
-                for seed, ticks in draws
-            ]
-            wide = run_batch(configs)
-            narrow = [run_batch([c])[0] for c in configs]
+        configs = [
+            small(seed=seed, sim_time_s=ticks * SMALL_CONFIG["tick_s"])
+            for seed, ticks in draws
+        ]
+        wide = run_batch(configs)
+        narrow = [run_batch([c])[0] for c in configs]
         assert [w.as_dict() for w in wide] == [n.as_dict() for n in narrow]
 
 
@@ -449,6 +432,25 @@ class TestCLI:
         ]
         assert main(argv) == 0
         assert os.environ.get("REPRO_BATCH") == "0"
+
+    def test_telemetry_manifest_does_not_claim_batch(self, tmp_path, capsys):
+        """A telemetry run goes through the serial world even under
+        ``--batch``, so its manifest must not name the batched engine
+        (and no ``batch.*`` counter may appear)."""
+        from repro.cli import main
+
+        out = tmp_path / "telemetry"
+        argv = [
+            "run", "--preset", "small", "--days", "0.05", "--seed", "1",
+            "--batch", "--telemetry", str(out),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not manifest["engine"].get("batch")
+        assert not manifest["engine"].get("batch_debug")
+        counters = manifest["instruments"]["counters"]
+        assert not [name for name in counters if name.startswith("batch.")]
 
 
 def test_worlds_reusable_for_screening():

@@ -9,8 +9,13 @@ Golden values were recorded with repro 1.0.0.
 
 import pytest
 
+from repro.core.activation import RoundRobinActivator
+from repro.core.erc import EnergyRequestController
+from repro.obs.monitors import MonitorSet
+from repro.registry import ACTIVATORS, ERC_POLICIES
 from repro.sim.config import DAY_S, HOUR_S, SimulationConfig
 from repro.sim.runner import run_simulation
+from repro.sim.world import World
 
 GOLDEN_CONFIG = dict(
     n_sensors=50,
@@ -103,6 +108,54 @@ GOLDEN_SUMMARIES = {
         "n_requests": 43.0,
         "mean_request_latency_s": 1681.0469371044323,
         "events_fired": 260.0,
+    },
+}
+
+# The same 50-sensor world under the model variants the paper-scheduler
+# goldens above do not reach: full-time activation (every clustered
+# sensor on duty, no rotation) and charge-proportional leakage with the
+# adaptive ERP controller.  Recorded while the object-walking engine
+# still existed, with both engines agreeing byte for byte, so these pins
+# carry that equivalence forward.  Equality is exact (==).
+VARIANT_OVERRIDES = {
+    "full_time": dict(activation="full_time"),
+    "leaky_adaptive": dict(self_discharge_fraction_per_day=0.05, adaptive_erp=True),
+}
+
+VARIANT_SUMMARIES = {
+    "full_time": {
+        "sim_time_s": 86400.0,
+        "traveling_distance_m": 1690.470013770354,
+        "traveling_energy_j": 9466.632077113984,
+        "delivered_energy_j": 23205.478030800783,
+        "objective_j": 13738.8459536868,
+        "avg_coverage_ratio": 1.0,
+        "missing_rate": 0.0,
+        "avg_nonfunctional_fraction": 0.00011811167709198024,
+        "avg_operational_sensors": 49.99409441614539,
+        "recharging_cost_m_per_sensor": 33.81339403208439,
+        "n_recharges": 68.0,
+        "n_sorties": 17.0,
+        "n_requests": 68.0,
+        "mean_request_latency_s": 2447.0100957802515,
+        "events_fired": 312.0,
+    },
+    "leaky_adaptive": {
+        "sim_time_s": 86400.0,
+        "traveling_distance_m": 1282.2587268393954,
+        "traveling_energy_j": 7180.648870300615,
+        "delivered_energy_j": 13459.297704670735,
+        "objective_j": 6278.648834370119,
+        "avg_coverage_ratio": 1.0,
+        "missing_rate": 0.0,
+        "avg_nonfunctional_fraction": 0.0,
+        "avg_operational_sensors": 50.0,
+        "recharging_cost_m_per_sensor": 25.64517453678791,
+        "n_recharges": 47.0,
+        "n_sorties": 19.0,
+        "n_requests": 48.0,
+        "mean_request_latency_s": 1715.1452564346805,
+        "events_fired": 270.0,
     },
 }
 
@@ -256,22 +309,32 @@ class TestGoldenPerScheduler:
         assert not mismatches, f"{scheduler} drifted: {mismatches}"
 
 
+class TestGoldenVariants:
+    """Exact pinned summaries for full-time activation and for leakage
+    with adaptive ERP."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_SUMMARIES))
+    def test_summary_bit_identical(self, variant):
+        cfg = SimulationConfig(**{**GOLDEN_CONFIG, **VARIANT_OVERRIDES[variant]})
+        _assert_matches(
+            run_simulation(cfg).as_dict(), VARIANT_SUMMARIES[variant], variant
+        )
+
+
 class TestGoldenExecutionMatrix:
     """The pinned summaries must survive every execution mode: serial
     or process-pool (``jobs``), vectorized kernels or reference loops
-    (``REPRO_VECTORIZE``), SoA or object-walking tick engine
-    (``REPRO_SOA``).  Workers inherit the knobs through the
-    environment, so the matrix covers child processes too."""
+    (``REPRO_VECTORIZE``), serial or batched engine (``REPRO_BATCH``).
+    Workers inherit the knobs through the environment, so the matrix
+    covers child processes too."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("vectorize", ["0", "1"])
-    @pytest.mark.parametrize("soa", ["0", "1"])
-    def test_matrix_bit_identical(self, monkeypatch, jobs, vectorize, soa):
+    def test_matrix_bit_identical(self, monkeypatch, jobs, vectorize):
         from repro.experiments.executor import map_configs
 
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_VECTORIZE", vectorize)
-        monkeypatch.setenv("REPRO_SOA", soa)
         schedulers = ("greedy", "insertion")
         configs = [
             SimulationConfig(**{**GOLDEN_CONFIG, "scheduler": s}) for s in schedulers
@@ -285,22 +348,18 @@ class TestGoldenExecutionMatrix:
             }
             assert not mismatches, (
                 f"{scheduler} drifted under jobs={jobs}, "
-                f"REPRO_VECTORIZE={vectorize}, REPRO_SOA={soa}: {mismatches}"
+                f"REPRO_VECTORIZE={vectorize}: {mismatches}"
             )
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("batch", ["0", "1"])
-    @pytest.mark.parametrize("soa", ["0", "1"])
-    def test_batched_matrix_bit_identical(self, monkeypatch, jobs, batch, soa):
+    def test_batched_matrix_bit_identical(self, monkeypatch, jobs, batch):
         """``REPRO_BATCH=1`` must change wall clock only: the lockstep
         multi-world engine reproduces the goldens bit-for-bit, whether
-        the chunks run in-process or across pool workers, and with
-        ``REPRO_SOA=0`` (where batching cannot apply and every cell
-        falls back serially) nothing changes either."""
+        the chunks run in-process or across pool workers."""
         from repro.experiments.executor import map_configs
 
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_SOA", soa)
         monkeypatch.setenv("REPRO_BATCH", batch)
         if jobs > 1:
             # One cell per chunk so the shape-batches actually fan out.
@@ -318,7 +377,7 @@ class TestGoldenExecutionMatrix:
             }
             assert not mismatches, (
                 f"{scheduler} drifted under jobs={jobs}, "
-                f"REPRO_BATCH={batch}, REPRO_SOA={soa}: {mismatches}"
+                f"REPRO_BATCH={batch}: {mismatches}"
             )
 
     @pytest.mark.parametrize("jobs", [1, 4])
@@ -375,3 +434,81 @@ class TestExperimentGolden:
                 EXPERIMENT_GOLDEN_SUMMARIES[scheduler],
                 f"{scheduler} (batched)",
             )
+
+
+class RecordingRoundRobin(RoundRobinActivator):
+    """A plugin activator: the core rotation loop, counted."""
+
+    rotations = 0
+
+    def rotate(self, alive):
+        type(self).rotations += 1
+        return super().rotate(alive)
+
+
+class RecordingErc(EnergyRequestController):
+    """A plugin ERC overriding ``nodes_to_release`` with the base gate."""
+
+    releases = 0
+
+    def nodes_to_release(self, cluster_set, below, listed):
+        type(self).releases += 1
+        return super().nodes_to_release(cluster_set, below, listed)
+
+
+@pytest.fixture()
+def plugin_activator():
+    """Register a test-local activator name for the duration of a test."""
+    name = "test-recording-round-robin"
+    ACTIVATORS.register(name, lambda cluster_set: RecordingRoundRobin(cluster_set))
+    RecordingRoundRobin.rotations = 0
+    try:
+        yield name
+    finally:
+        ACTIVATORS.unregister(name)
+
+
+@pytest.fixture()
+def plugin_static_erc():
+    """Swap the ``static`` ERC policy for :class:`RecordingErc`, then
+    restore the built-in registration."""
+    spec = ERC_POLICIES.spec("static")
+    ERC_POLICIES.register(
+        "static", lambda config: RecordingErc(config.erp), replace=True
+    )
+    RecordingErc.releases = 0
+    try:
+        yield
+    finally:
+        ERC_POLICIES.unregister("static")
+        ERC_POLICIES.register(
+            "static", spec.factory, schema=spec.schema, doc=spec.doc
+        )
+
+
+def _strict_golden_run(monkeypatch, **overrides):
+    monkeypatch.setenv("REPRO_STRICT_MONITORS", "1")
+    monitors = MonitorSet()
+    assert monitors.strict
+    world = World(SimulationConfig(**{**GOLDEN_CONFIG, **overrides}), monitors=monitors)
+    return world, world.run().as_dict()
+
+
+class TestGoldenPluginPaths:
+    """Plugins run the core object-walking code inside a full world:
+    an unwrapped activator subclass runs ``repro.core.activation``'s
+    loops, and an ERC that overrides ``nodes_to_release`` takes the walk
+    gate checked by ``check_erc_release``.  Both reproduce the pinned
+    ``combined`` summary under strict monitors."""
+
+    def test_plugin_activator_reproduces_golden(self, monkeypatch, plugin_activator):
+        world, got = _strict_golden_run(monkeypatch, activation=plugin_activator)
+        assert type(world.state.activator) is RecordingRoundRobin
+        assert RecordingRoundRobin.rotations > 0
+        _assert_matches(got, GOLDEN_SUMMARIES["combined"], "plugin activator")
+
+    def test_plugin_erc_reproduces_golden(self, monkeypatch, plugin_static_erc):
+        world, got = _strict_golden_run(monkeypatch)
+        assert type(world.gate.erc) is RecordingErc
+        assert RecordingErc.releases > 0
+        _assert_matches(got, GOLDEN_SUMMARIES["combined"], "plugin ERC")

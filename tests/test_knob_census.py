@@ -52,4 +52,4 @@ def test_every_documented_knob_is_read():
 
 def test_census_sees_the_package_knobs():
     # Guard against the scan silently matching nothing.
-    assert {"REPRO_SOA", "REPRO_JOBS", "REPRO_STORE"} <= _knobs_read("src")
+    assert {"REPRO_BATCH", "REPRO_JOBS", "REPRO_STORE"} <= _knobs_read("src")
