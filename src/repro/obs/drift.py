@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -30,7 +31,8 @@ __all__ = ["diff_metrics", "format_drift", "load_metrics", "load_history_pair"]
 
 
 def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
-    """Flatten nested dicts of numbers into dotted metric names."""
+    """Flatten nested dicts and lists of numbers into dotted metric
+    names; list items are named by position (``sweep.greedy.x.3``)."""
     if isinstance(value, bool):
         return
     if isinstance(value, (int, float)):
@@ -38,6 +40,9 @@ def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
     elif isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
+    elif isinstance(value, (list, tuple)):
+        for i, sub in enumerate(value):
+            _flatten(f"{prefix}.{i}" if prefix else str(i), sub, out)
 
 
 def load_metrics(path: Union[str, Path]) -> Dict[str, float]:
@@ -103,7 +108,9 @@ def diff_metrics(
     """Per-metric comparison rows, drifted metrics first.
 
     A metric drifts when ``|a - b| > atol + rtol * max(|a|, |b|)``;
-    metrics present on only one side always count as drift.  Metrics
+    metrics present on only one side always count as drift.  A
+    non-finite value (NaN, ±inf) matches only the same value on the
+    other side: NaN on both sides is ok, NaN on one side is drift.  Metrics
     matching any ``ignore`` fnmatch pattern are dropped before the
     comparison — for metrics that exist on one side by design, like
     the SoA allocation counter when diffing against a run recorded
@@ -127,7 +134,10 @@ def diff_metrics(
             continue
         delta = vb - va
         scale = max(abs(va), abs(vb))
-        drifted = abs(delta) > atol + rtol * scale
+        if math.isfinite(va) and math.isfinite(vb):
+            drifted = abs(delta) > atol + rtol * scale
+        else:
+            drifted = not (va == vb or (math.isnan(va) and math.isnan(vb)))
         rows.append({
             "metric": key,
             "a": va,

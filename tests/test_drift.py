@@ -64,6 +64,22 @@ class TestLoadMetrics:
         with pytest.raises(FileNotFoundError, match="manifest.json"):
             load_metrics(tmp_path)
 
+    def test_lists_are_indexed(self, tmp_path):
+        # results.json keeps the ERP sweep as per-metric lists; dropping
+        # them would leave the sweep unchecked.
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({
+            "sweep": {"greedy": {"energy_j": [1.0, 2.5, 3.0]}},
+            "seeds": [1],
+            "scale": "smoke",
+        }))
+        assert load_metrics(path) == {
+            "bench.sweep.greedy.energy_j.0": 1.0,
+            "bench.sweep.greedy.energy_j.1": 2.5,
+            "bench.sweep.greedy.energy_j.2": 3.0,
+            "bench.seeds.0": 1.0,
+        }
+
     def test_history_pair(self, tmp_path):
         path = make_bench(tmp_path, [{"v": 1.0}, {"v": 2.0}, {"v": 3.0}])
         a, b = load_history_pair(path)
@@ -92,6 +108,25 @@ class TestDiffMetrics:
         rows = diff_metrics({"x": 1.0, "only_a": 2.0}, {"x": 1.0, "only_b": 3.0})
         by_metric = {r["metric"]: r["status"] for r in rows}
         assert by_metric == {"x": "ok", "only_a": "only_a", "only_b": "only_b"}
+
+    def test_nan_on_one_side_drifts(self):
+        nan = float("nan")
+        for a, b in (({"x": 1.0}, {"x": nan}), ({"x": nan}, {"x": 1.0})):
+            rows = diff_metrics(a, b, rtol=0, atol=0)
+            assert rows[0]["status"] == "drift"
+        # A loose tolerance does not absorb a NaN either.
+        assert diff_metrics({"x": 1.0}, {"x": nan}, rtol=1e9)[0]["status"] == "drift"
+
+    def test_nan_on_both_sides_is_ok(self):
+        nan = float("nan")
+        rows = diff_metrics({"x": nan}, {"x": nan}, rtol=0, atol=0)
+        assert rows[0]["status"] == "ok"
+
+    def test_infinities_match_only_themselves(self):
+        inf = float("inf")
+        assert diff_metrics({"x": inf}, {"x": inf}, rtol=0, atol=0)[0]["status"] == "ok"
+        assert diff_metrics({"x": inf}, {"x": -inf})[0]["status"] == "drift"
+        assert diff_metrics({"x": 1.0}, {"x": inf}, rtol=0, atol=0)[0]["status"] == "drift"
 
     def test_drifted_rows_sort_first(self):
         rows = diff_metrics({"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 9.0})
