@@ -12,10 +12,9 @@ masked out, and each pick reuses the round's
 :class:`~repro.core.kernels.DistanceCache` — after the first hop an
 RV stands *on* a listed stop, so its next profit evaluation is a row
 of the shared stop/stop matrix rather than a fresh measurement.  The
-pick itself is :func:`repro.core.kernels.greedy_pick`, whose reference
-path is the original per-element loop; both are bit-identical to the
-historic re-stack-the-snapshot implementation (masking never changes
-the elementwise profit arithmetic or the lowest-index tie rule).
+pick itself is :func:`repro.core.kernels.greedy_pick`.  Masking never
+changes the elementwise profit arithmetic or the lowest-index tie rule,
+so the picks equal those of re-stacking the snapshot every step.
 """
 
 from __future__ import annotations

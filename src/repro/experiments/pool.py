@@ -14,8 +14,8 @@ sweep:
   Dijkstra weight check, compiled regexes, ...) stay hot;
 * **fresh environment** — :func:`get_warm_pool` reuses the shared
   pool only while the ``REPRO_*`` environment it was started under is
-  unchanged, because workers read engine knobs (``REPRO_VECTORIZE``,
-  ``REPRO_BATCH``, ...) from their own environment;
+  unchanged, because workers read knobs (``REPRO_BATCH``,
+  ``REPRO_STRICT_MONITORS``, ...) from their own environment;
 * **health** — the parent dispatches tasks over a dedicated duplex
   pipe per worker (one task outstanding each), so it always knows
   which task a worker holds: a worker that dies mid-task is detected

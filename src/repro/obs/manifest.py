@@ -78,11 +78,10 @@ class RunManifest:
     instruments: Dict[str, Any] = field(default_factory=dict)
     exporters: List[str] = field(default_factory=list)
     files: Dict[str, List[str]] = field(default_factory=dict)
-    #: Which engine knobs produced the run (``REPRO_VECTORIZE``) — see
-    #: :func:`repro.sim.soa.engine_provenance`.  Lets a drift report
-    #: distinguish "the code changed" from "the kernel selection
-    #: changed".  Empty for pre-SoA manifests; older manifests may
-    #: also name engine knobs that no longer exist.
+    #: Which engine knobs produced the run — see
+    #: :func:`repro.sim.soa.engine_provenance`, which is empty now that
+    #: every engine knob is gone.  Older manifests may name engine
+    #: knobs that no longer exist; the field stays so they still load.
     engine: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, List, Optional
 
-from ...core import kernels
 from ...core.scheduling import RVView, Scheduler
 from ...mobility.vehicles import RechargingVehicle
 from ..trace import EventKind
@@ -77,10 +76,6 @@ class FleetController:
         self._sp = state.spans
         self._t_dispatch = obs.timer("fleet.dispatch")
         self._t_assign = obs.timer("scheduler.assign")
-        # Which kernel path (numpy broadcasts vs reference loops) the
-        # scheduler's inner decisions took.
-        self._c_kernel_vec = obs.counter("scheduler.kernel.vectorized")
-        self._c_kernel_ref = obs.counter("scheduler.kernel.reference")
         self._c_rounds = obs.counter("fleet.dispatch_rounds")
         self._c_sorties = obs.counter("fleet.sorties")
         self._c_legs = obs.counter("fleet.legs")
@@ -151,18 +146,11 @@ class FleetController:
                 if cid != -1:
                     backlog_per_cluster[cid] = backlog_per_cluster.get(cid, 0) + 1
             views_by_id = {v.rv_id: v for v in views}
-        calls_before = dict(kernels.KERNEL_CALLS)
         with self._t_assign, sp.span("scheduler.assign") as assign_span:
             plans = self.scheduler.assign(s.requests, views, s.rng)
-        vec = kernels.KERNEL_CALLS["vectorized"] - calls_before["vectorized"]
-        ref = kernels.KERNEL_CALLS["reference"] - calls_before["reference"]
-        self._c_kernel_vec.inc(vec)
-        self._c_kernel_ref.inc(ref)
         assign_span.set(
             scheduler=getattr(self.scheduler, "name", type(self.scheduler).__name__),
             plans=len(plans),
-            kernel_vectorized=vec,
-            kernel_reference=ref,
         )
         logger.debug(
             "t=%.0fs: dispatch round, %d request(s), %d idle RV(s), %d sortie(s)",

@@ -4,19 +4,15 @@ Not part of the paper's algorithms — provided as the ablation the
 DESIGN.md calls out (A3): how much RV distance a classical 2-opt
 post-pass recovers on top of the nearest-neighbour / insertion tours.
 
-Two implementations share the module (see :mod:`repro.core.kernels`
-for the knobs):
-
-* the *reference* path is the classic nested first-improvement loop;
-* the *vectorized* path measures every leg once into a pairwise
-  distance matrix, evaluates **all** candidate deltas of a sweep as one
-  broadcast, and replays improving moves in scan order — after each
-  applied move the candidate deltas are re-broadcast against the
-  mutated order and the scan resumes at the following ``(i, j)`` cell,
-  which is exactly the state the scalar loop would be in.  The move
-  sequence, and therefore the returned order, is bit-identical
-  (``np.hypot`` is sign-insensitive and each delta is the same
-  ``d(a,c) + d(b,d) - d(a,b) - d(c,d)`` operation chain).
+The sweep is classic first-improvement 2-opt, evaluated as arrays: it
+measures every leg once into the shared pairwise distance matrix
+(:func:`repro.core.kernels.distance_cache_for`), evaluates **all**
+candidate deltas ``d(a,c) + d(b,d) - d(a,b) - d(c,d)`` of a sweep as
+one broadcast, and applies improving moves in scan order.  After each
+applied move the candidate deltas are re-broadcast against the mutated
+order and the scan resumes at the following ``(i, j)`` cell — exactly
+the state of the nested ``for i: for j:`` loop, so the move sequence is
+that of the scalar first-improvement loop.
 """
 
 from __future__ import annotations
@@ -32,71 +28,6 @@ __all__ = ["two_opt"]
 #: A move must shorten the tour by more than this to count (guards the
 #: scan against cycling on floating-point noise).
 _EPS = 1e-12
-
-
-def _two_opt_reference(points: np.ndarray, order: List[int], max_rounds: int) -> List[int]:
-    """The scalar first-improvement loop (executable specification)."""
-    n = len(order)
-
-    def seg(a: int, b: int) -> float:
-        d = points[a] - points[b]
-        return float(np.hypot(d[0], d[1]))
-
-    for _ in range(max_rounds):
-        improved = False
-        # Reverse order[i:j+1]; endpoints 0 and n-1 never move.
-        for i in range(1, n - 2):
-            for j in range(i + 1, n - 1):
-                a, b = order[i - 1], order[i]
-                c, d = order[j], order[j + 1]
-                delta = seg(a, c) + seg(b, d) - seg(a, b) - seg(c, d)
-                if delta < -_EPS:
-                    order[i : j + 1] = reversed(order[i : j + 1])
-                    improved = True
-        if not improved:
-            break
-    return order
-
-
-def _two_opt_vectorized(points: np.ndarray, order: List[int], max_rounds: int) -> List[int]:
-    """Broadcast sweeps over a shared distance matrix, replayed in scan
-    order so the applied moves match the reference loop move for move."""
-    from ..core import kernels
-
-    n = len(order)
-    D = kernels.distance_cache_for(points).pairwise
-    I = np.arange(1, n - 2)  # noqa: E741 — the loop variable of the spec
-    J = np.arange(2, n - 1)
-    ii = I[:, None]
-    jj = J[None, :]
-    upper = jj > ii  # candidate cells: j in (i, n-1)
-    for _ in range(max_rounds):
-        improved = False
-        i0, j0 = 1, 2  # scan cursor: next candidate cell to consider
-        while True:
-            ordv = np.asarray(order, dtype=np.intp)
-            # delta[i, j] = d(a,c) + d(b,d) - d(a,b) - d(c,d) with
-            # a=order[i-1], b=order[i], c=order[j], d=order[j+1] — the
-            # same left-to-right chain as the scalar loop, elementwise.
-            d_ac = D[ordv[I - 1][:, None], ordv[J][None, :]]
-            d_bd = D[ordv[I][:, None], ordv[J + 1][None, :]]
-            d_ab = D[ordv[I - 1], ordv[I]][:, None]
-            d_cd = D[ordv[J], ordv[J + 1]][None, :]
-            delta = d_ac + d_bd - d_ab - d_cd
-            cand = (delta < -_EPS) & upper
-            # Cells before the cursor were already scanned this sweep.
-            cand &= (ii > i0) | ((ii == i0) & (jj >= j0))
-            if not cand.any():
-                break
-            flat = int(np.argmax(cand))  # first True in row-major order
-            ri, rj = divmod(flat, len(J))
-            i, j = int(I[ri]), int(J[rj])
-            order[i : j + 1] = reversed(order[i : j + 1])
-            improved = True
-            i0, j0 = i, j + 1
-        if not improved:
-            break
-    return order
 
 
 def two_opt(
@@ -125,16 +56,36 @@ def two_opt(
         return order
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if kernels.vectorize_enabled():
-        result = _two_opt_vectorized(points, list(order), max_rounds)
-        kernels.KERNEL_CALLS["vectorized"] += 1
-        if kernels.debug_vectorize():
-            ref = _two_opt_reference(points, list(order), max_rounds)
-            if result != ref:
-                raise AssertionError(
-                    "vectorized two_opt diverged from the reference sweep "
-                    f"({result!r} != {ref!r}); please report this"
-                )
-        return result
-    kernels.KERNEL_CALLS["reference"] += 1
-    return _two_opt_reference(points, order, max_rounds)
+    D = kernels.distance_cache_for(points).pairwise
+    I = np.arange(1, n - 2)  # noqa: E741 — the loop variable of the scan
+    J = np.arange(2, n - 1)
+    ii = I[:, None]
+    jj = J[None, :]
+    upper = jj > ii  # candidate cells: j in (i, n-1)
+    for _ in range(max_rounds):
+        improved = False
+        i0, j0 = 1, 2  # scan cursor: next candidate cell to consider
+        while True:
+            ordv = np.asarray(order, dtype=np.intp)
+            # delta[i, j] = d(a,c) + d(b,d) - d(a,b) - d(c,d) with
+            # a=order[i-1], b=order[i], c=order[j], d=order[j+1] — the
+            # left-to-right chain a scalar loop evaluates, elementwise.
+            d_ac = D[ordv[I - 1][:, None], ordv[J][None, :]]
+            d_bd = D[ordv[I][:, None], ordv[J + 1][None, :]]
+            d_ab = D[ordv[I - 1], ordv[I]][:, None]
+            d_cd = D[ordv[J], ordv[J + 1]][None, :]
+            delta = d_ac + d_bd - d_ab - d_cd
+            cand = (delta < -_EPS) & upper
+            # Cells before the cursor were already scanned this sweep.
+            cand &= (ii > i0) | ((ii == i0) & (jj >= j0))
+            if not cand.any():
+                break
+            flat = int(np.argmax(cand))  # first True in row-major order
+            ri, rj = divmod(flat, len(J))
+            i, j = int(I[ri]), int(J[rj])
+            order[i : j + 1] = reversed(order[i : j + 1])
+            improved = True
+            i0, j0 = i, j + 1
+        if not improved:
+            break
+    return order

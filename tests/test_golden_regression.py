@@ -323,33 +323,9 @@ class TestGoldenVariants:
 
 class TestGoldenExecutionMatrix:
     """The pinned summaries must survive every execution mode: serial
-    or process-pool (``jobs``), vectorized kernels or reference loops
-    (``REPRO_VECTORIZE``), serial or batched engine (``REPRO_BATCH``).
-    Workers inherit the knobs through the environment, so the matrix
-    covers child processes too."""
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("vectorize", ["0", "1"])
-    def test_matrix_bit_identical(self, monkeypatch, jobs, vectorize):
-        from repro.experiments.executor import map_configs
-
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_VECTORIZE", vectorize)
-        schedulers = ("greedy", "insertion")
-        configs = [
-            SimulationConfig(**{**GOLDEN_CONFIG, "scheduler": s}) for s in schedulers
-        ]
-        results = map_configs(configs, jobs=jobs)
-        for scheduler, summary in zip(schedulers, results):
-            got = summary.as_dict()
-            expected = GOLDEN_SUMMARIES[scheduler]
-            mismatches = {
-                k: (got[k], expected[k]) for k in expected if got[k] != expected[k]
-            }
-            assert not mismatches, (
-                f"{scheduler} drifted under jobs={jobs}, "
-                f"REPRO_VECTORIZE={vectorize}: {mismatches}"
-            )
+    or process-pool (``jobs``), serial or batched engine
+    (``REPRO_BATCH``).  Workers inherit the knobs through the
+    environment, so the matrix covers child processes too."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("batch", ["0", "1"])

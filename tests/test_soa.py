@@ -67,9 +67,8 @@ SMALL_CONFIG = dict(
 
 class TestKnobs:
     def test_engine_provenance_keys(self):
-        prov = engine_provenance()
-        assert set(prov) == {"vectorize"}
-        assert all(isinstance(v, bool) for v in prov.values())
+        # No engine knob is left; manifests keep an empty engine block.
+        assert engine_provenance() == {}
 
 
 class TestRotationParity:
